@@ -1,0 +1,1 @@
+"""Seeded end-to-end benchmark of the repro simulator; see README.md."""
