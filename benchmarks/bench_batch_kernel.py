@@ -10,7 +10,7 @@ floor; the measured ratio lands in ``BENCH_engine.json`` via
 ``extra_info``.
 
 The scalar comparison deliberately times the scalar kernel's plain path
-(a fixed-bound run over the same trace), not the quiescent fast-forward
+(a fixed-bound run over the same trace), not the steady-cycle replay
 best case — the batch kernel's contract is bit-identity with that run,
 so per-facility steps/second is the honest common denominator.
 """

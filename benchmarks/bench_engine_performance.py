@@ -1,9 +1,10 @@
 """Engine throughput: how fast the simulator itself runs.
 
 Not a paper figure — a performance benchmark of the reproduction: a single
-controller step, one full 30-minute facility run, and an Oracle search.
-These numbers guard against performance regressions (the Fig. 9/10 sweeps
-run hundreds of full simulations).
+controller step, one full 30-minute facility run (fault-free and with a
+late telemetry gap), an MPC run, and an Oracle search.  These numbers
+guard against performance regressions (the Fig. 9/10 sweeps run hundreds
+of full simulations).
 """
 
 from __future__ import annotations
@@ -11,8 +12,13 @@ from __future__ import annotations
 import math
 import time
 
-from repro.core.strategies import FixedUpperBoundStrategy, GreedyStrategy
+from repro.core.strategies import (
+    FixedUpperBoundStrategy,
+    GreedyStrategy,
+    MPCStrategy,
+)
 from repro.errors import ReproError
+from repro.simulation.config import DataCenterConfig
 from repro.simulation.datacenter import build_datacenter
 from repro.simulation.engine import (
     DEFAULT_ORACLE_GRID,
@@ -21,6 +27,7 @@ from repro.simulation.engine import (
     run_simulation,
     simulate_strategy,
 )
+from repro.simulation.faults import FaultPlan
 from repro.workloads.ms_trace import default_ms_trace
 from repro.workloads.yahoo_trace import generate_yahoo_trace
 
@@ -93,6 +100,49 @@ def bench_full_ms_run(benchmark):
     assert result.average_performance > 1.0
 
 
+def bench_faulted_ms_run(benchmark):
+    """The full MS-trace run with a late, benign telemetry gap.
+
+    The gap at 1700 s changes no physics before it.  The injector acts
+    once per fault boundary, but the faulted driver steps every sample
+    through ``SprintingController.step`` (a one-sample span-compiled
+    window), so the run costs about twice the fault-free run.
+    """
+    trace = default_ms_trace()
+    dc = build_datacenter()
+    plan = FaultPlan.from_specs(["gap@1700s"])
+    result = benchmark.pedantic(
+        lambda: run_simulation(dc, trace, GreedyStrategy(), fault_plan=plan),
+        rounds=3,
+        iterations=1,
+    )
+    mean_s = benchmark.stats.stats.mean
+    benchmark.extra_info["simulated_seconds_per_wall_second"] = (
+        len(trace) / mean_s
+    )
+    assert len(result.steps) == len(trace)
+    assert result.aborted_at_s is None
+
+
+def bench_mpc_run(benchmark):
+    """One online-MPC run: two-PDU facility, five candidate bounds, a
+    120 s re-plan cadence, on the Yahoo 3.2x / 15-minute burst."""
+    trace = generate_yahoo_trace(burst_degree=3.2, burst_duration_min=15)
+    config = DataCenterConfig(n_pdus=2, servers_per_pdu=50)
+    dc = build_datacenter(config)
+
+    def run():
+        strategy = MPCStrategy(
+            candidate_bounds=(2.0, 2.5, 3.0, 3.5, 4.0),
+            replan_interval_s=120.0,
+        )
+        return run_simulation(dc, trace, strategy), strategy
+
+    result, strategy = benchmark.pedantic(run, rounds=3, iterations=1)
+    assert strategy.plan_log
+    assert result.average_performance > 1.0
+
+
 def bench_oracle_search(benchmark):
     """A five-candidate Oracle search over the MS trace."""
     trace = default_ms_trace()
@@ -111,10 +161,9 @@ def bench_oracle_search_13_candidates(benchmark):
 
     This was the shared-prefix search's headline case: one instrumented
     baseline run plus per-candidate suffixes instead of 13 full runs.
-    The span-compiled engine has since made each full run ~3x faster
-    (the fork engine's per-sample suffix stepping cannot use it), so the
-    per-candidate reference sweep now runs at roughly fork-engine speed
-    here; the guard is that the fork engine never falls meaningfully
+    The span-compiled engine has since made each full run ~3x faster, and
+    the fork engine now resumes its suffixes as span-compiled windows
+    too; the guard is that the fork engine never falls meaningfully
     *behind* the naive sweep.  The reference path is timed in the same
     process and the ratio recorded in ``extra_info``.
     """

@@ -4,8 +4,10 @@ Not a paper figure — the performance benchmark of the batched sweep
 tier: a cold 4x6 upper-bound table build (24 grid points x 13 Oracle
 candidates) through :class:`SweepRunner`, with the packed tier fusing
 every point x candidate into few wide kernel batches.  The reference is
-the same build with every vector fast path toggled off — the
-shared-prefix fork engine, the previous cold-table champion recorded as
+the same build with every vector path off — no packing
+(``SweepRunner(vector_pack=False)``) and the per-point vector Oracle
+tier declined, so each point runs the shared-prefix fork engine, the
+previous cold-table champion recorded as
 ``bench_upper_bound_table_cold`` — timed in the same process.
 
 The >= 3x assertion is the batched-sweep PR's acceptance floor; the
@@ -17,17 +19,17 @@ from __future__ import annotations
 
 import time
 
+import repro.simulation.batch as batch
 from repro.simulation.batch import SweepRunner
-from repro.simulation.batch_facility import set_vector_oracle_enabled
 from repro.simulation.engine import DEFAULT_ORACLE_GRID
 
 DURATIONS = (1.0, 5.0, 10.0, 15.0)
 DEGREES = (2.6, 2.8, 3.0, 3.2, 3.4, 3.6)
 
 
-def _build_table():
+def _build_table(vector_pack=True):
     """One cold cache-less table build on the serial in-process runner."""
-    runner = SweepRunner(max_workers=1, cache_dir=None)
+    runner = SweepRunner(max_workers=1, cache_dir=None, vector_pack=vector_pack)
     return runner.build_upper_bound_table(
         burst_durations_min=DURATIONS,
         burst_degrees=DEGREES,
@@ -35,17 +37,25 @@ def _build_table():
     )
 
 
+def _build_scalar_table():
+    """The same build on the scalar sweep engine: no packing, and the
+    per-point vector Oracle tier replaced by a double that declines, the
+    way ``_oracle_point_search`` treats a trace outside its envelope."""
+    vector_tier = batch.vector_oracle_search
+    batch.vector_oracle_search = lambda *args, **kwargs: None
+    try:
+        return _build_table(vector_pack=False)
+    finally:
+        batch.vector_oracle_search = vector_tier
+
+
 def bench_sweep_grid_packed(benchmark):
     """Cold 4x6 table grid, vector-packed, vs the scalar sweep engine."""
     table = benchmark.pedantic(_build_table, rounds=1, iterations=1)
 
-    previous = set_vector_oracle_enabled(False)
-    try:
-        start = time.perf_counter()
-        reference_table = _build_table()
-        reference_s = time.perf_counter() - start
-    finally:
-        set_vector_oracle_enabled(previous)
+    start = time.perf_counter()
+    reference_table = _build_scalar_table()
+    reference_s = time.perf_counter() - start
 
     fast_s = benchmark.stats.stats.mean
     benchmark.extra_info["reference_seconds"] = reference_s

@@ -10,7 +10,7 @@ statically, before any trace runs:
 
 1. **attribute-read sets** — a typed worklist traversal walks every method
    reachable from ``_step_reference`` (reference side) and from
-   ``StepKernel.__init__`` / ``StepKernel.step`` (kernel side), resolving
+   ``StepKernel.__init__`` / ``StepKernel.run_trace`` (kernel side), resolving
    receiver types through a class registry built from annotations, and
    records every ``(Class, attribute)`` read.  A read present on one side
    and absent from the other — outside the curated allowlists below — is a
@@ -111,46 +111,6 @@ ALLOWED_REFERENCE_ONLY: Dict[Tuple[str, str], str] = {
 
 #: Kernel-side reads with no reference counterpart, by design.
 ALLOWED_KERNEL_ONLY: Dict[Tuple[str, str], str] = {
-    ("SprintingController", "_ff_prev_demand"): (
-        "quiescent fast-forward cache tag: the kernel compares the "
-        "incoming demand against the previous sample to decide whether "
-        "the cached ControlStep may replay; the reference path never "
-        "caches, so it has no reason to read it"
-    ),
-    ("SprintingController", "_ff_sig"): (
-        "quiescent fast-forward cache: the fixed-point signature the "
-        "pre-step state must match bit-for-bit before the cached step "
-        "replays; reference-side recomputation is the contract the "
-        "signature check enforces, not violates"
-    ),
-    ("SprintingController", "_ff_step"): (
-        "quiescent fast-forward cache: the ControlStep replayed (with "
-        "only time_s rewritten) when the demand repeats and the state "
-        "signature is an exact fixed point"
-    ),
-    ("SprintingController", "_ff_needed"): (
-        "quiescent fast-forward cache: the needed degree recorded with "
-        "the cached step so replay restores last_needed_degree exactly "
-        "as recomputation would"
-    ),
-    ("SprintingStrategy", "stateless_bound"): (
-        "quiescent fast-forward guard: only strategies whose bound is a "
-        "pure function of the observation may have steps replayed (a "
-        "stateful strategy's bound could change between identical "
-        "observations); the reference path always calls the strategy, so "
-        "it never needs the flag"
-    ),
-    ("Trace", "samples"): (
-        "span compilation: run_trace RLE-encodes the trace into "
-        "constant-demand spans before stepping; the reference is handed "
-        "one sample at a time by the engine loop and never sees the "
-        "Trace object"
-    ),
-    ("Trace", "dt_s"): (
-        "span compilation: run_trace derives per-step timestamps from "
-        "the trace period when bulk-replaying steady cycles; the "
-        "reference receives time_s precomputed by the engine loop"
-    ),
     ("PhaseTracker", "current_phase"): (
         "deferred accumulators: a quiet run loads the tracker's phase "
         "into a local at run start and writes it back once at run end; "
@@ -160,23 +120,6 @@ ALLOWED_KERNEL_ONLY: Dict[Tuple[str, str], str] = {
 
 #: Scalar-kernel reads with no vector counterpart, by design.
 ALLOWED_SCALAR_KERNEL_ONLY: Dict[Tuple[str, str], str] = {
-    ("SprintingController", "_ff_prev_demand"): (
-        "the vector kernel always recomputes — bit-neutral by the "
-        "fast-forward cache's own replay==recompute contract"
-    ),
-    ("SprintingController", "_ff_sig"): (
-        "the vector kernel has no quiescent fast-forward cache"
-    ),
-    ("SprintingController", "_ff_step"): (
-        "the vector kernel has no quiescent fast-forward cache"
-    ),
-    ("SprintingController", "_ff_needed"): (
-        "the vector kernel has no quiescent fast-forward cache"
-    ),
-    ("SprintingStrategy", "stateless_bound"): (
-        "fast-forward eligibility guard; the vector kernel folds its "
-        "fixed bounds at construction and never consults a strategy"
-    ),
     ("SprintingController", "strategy"): (
         "the vector kernel is fixed-bound by construction: the bounds "
         "array replaces the per-step degree_upper_bound call, and "
@@ -222,25 +165,10 @@ ALLOWED_SCALAR_KERNEL_ONLY: Dict[Tuple[str, str], str] = {
         "kernel latches failure codes (FAIL_PDU/FAIL_DC) instead of "
         "raising"
     ),
-    ("Trace", "samples"): (
-        "scalar run_trace span-compiles a whole Trace; the vector "
-        "kernel is stepped per sample by its batch drivers and never "
-        "holds a Trace"
-    ),
-    ("Trace", "dt_s"): (
-        "scalar run_trace reads the trace period for bulk cycle "
-        "timestamps; the vector kernel's drivers pass time_s in"
-    ),
 }
 
 #: Vector-kernel reads with no scalar counterpart, by design.
-ALLOWED_VECTOR_KERNEL_ONLY: Dict[Tuple[str, str], str] = {
-    ("PhaseTracker", "current_phase"): (
-        "the vector kernel seeds its per-element phase codes from the "
-        "live tracker's phase at construction; the scalar kernel keeps "
-        "the tracker object itself and only assigns to it"
-    ),
-}
+ALLOWED_VECTOR_KERNEL_ONLY: Dict[Tuple[str, str], str] = {}
 
 #: Structural literals (loop counts, unit steps, signs) that both sides
 #: use freely and carry no configuration content.
@@ -665,11 +593,7 @@ class KernelDriftRule(Rule):
         kernel_reads = _filtered(
             collect_reads(
                 registry,
-                [
-                    ("StepKernel", "__init__"),
-                    ("StepKernel", "step"),
-                    ("StepKernel", "run_trace"),
-                ],
+                [("StepKernel", "__init__"), ("StepKernel", "run_trace")],
             )
         )
         findings: List[Finding] = []
@@ -717,11 +641,7 @@ class KernelDriftRule(Rule):
         scalar_reads = _filtered(
             collect_reads(
                 registry,
-                [
-                    ("StepKernel", "__init__"),
-                    ("StepKernel", "step"),
-                    ("StepKernel", "run_trace"),
-                ],
+                [("StepKernel", "__init__"), ("StepKernel", "run_trace")],
             )
         )
         vector_reads = _filtered_with(
@@ -862,7 +782,7 @@ class KernelDriftRule(Rule):
             lambda f: isinstance(f, ast.Name) and f.id == "ControlStep",
         )
         kern_kwargs, kern_line = _call_keywords(
-            kernel_info.methods.get("step"),
+            kernel_info.methods.get("run_trace"),
             lambda f: isinstance(f, ast.Attribute) and f.attr == "_ControlStep",
         )
         declared = None
@@ -887,7 +807,7 @@ class KernelDriftRule(Rule):
             lambda f: isinstance(f, ast.Name) and f.id == "StrategyObservation",
         )
         kern_obs, kern_obs_line = _call_keywords(
-            kernel_info.methods.get("step"),
+            kernel_info.methods.get("run_trace"),
             lambda f: isinstance(f, ast.Name) and f.id == "StrategyObservation",
         )
         obs_cls = registry.classes.get("StrategyObservation")

@@ -496,13 +496,10 @@ def _sweep_spec_from_args(args: argparse.Namespace) -> "StrategySpec":
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.simulation.batch import SweepTask
-    from repro.simulation.batch_facility import set_vector_oracle_enabled
 
     if not (args.headroom or args.pue or args.table):
         print("nothing to sweep: pass --headroom, --pue and/or --table")
         return 2
-    if args.scalar_oracle:
-        set_vector_oracle_enabled(False)
     runner = _sweep_runner(args)
     fault_plan = _fault_plan_from_args(args)
     if args.headroom or args.pue:
@@ -760,10 +757,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--fault-plan", metavar="FILE",
                        help="JSON fault-plan applied to every "
                             "sensitivity-sweep run")
-    sweep.add_argument("--scalar-oracle", action="store_true",
-                       help="force the scalar per-candidate Oracle paths "
-                            "(disable the vector batch kernel; for "
-                            "differential debugging)")
     sweep.set_defaults(func=_cmd_sweep)
 
     worker = subparsers.add_parser(

@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.cooling.crac import CoolingPlant
 from repro.cooling.thermal import tes_activation_time_s
@@ -44,9 +46,6 @@ from repro.servers.cluster import ServerCluster
 from repro.servers.pcm import PcmHeatSink
 from repro.units import require_non_negative, require_positive
 from repro.workloads.prediction import OnlineBurstDetector
-
-if TYPE_CHECKING:
-    from repro.workloads.traces import Trace
 
 #: Degree above which a step counts as sprinting.
 _SPRINT_DEGREE_EPS = 1e-6
@@ -198,14 +197,6 @@ class SprintingController:
         #: bound, the first step where the bound would bind; math.nan until
         #: a step runs.  Written by both the kernel and the reference path.
         self.last_needed_degree: float = math.nan
-        #: Quiescent fast-forward cache (kernel-only): the previous demand
-        #: sample, the signature of the facility state that produced the
-        #: cached step, and the cached ControlStep + needed degree.  See
-        #: StepKernel.step for the replay conditions.
-        self._ff_prev_demand: Optional[float] = None
-        self._ff_sig: Optional[Tuple[float, ...]] = None
-        self._ff_step: Optional[ControlStep] = None
-        self._ff_needed: float = math.nan
         if kernel is not None:
             self._kernel: Optional[StepKernel] = kernel
         elif use_kernel:
@@ -230,32 +221,44 @@ class SprintingController:
         (float division drifts for non-integer ``dt_s``).  Callers without
         a counter may omit it; the rounded fallback then only feeds
         observations for which no index-aligned planning happens.
+
+        Kernel-backed controllers run the period as a one-sample
+        :meth:`run_window`; a multi-sample driver gets the span-compiled
+        speedups only by handing whole windows over.
         """
+        require_non_negative(demand, "demand")
+        require_non_negative(time_s, "time_s")
         if step_index is None:
             step_index = int(round(time_s / self.settings.dt_s))
         kernel = self._kernel
-        if kernel is not None:
-            return kernel.step(self, demand, time_s, step_index)
-        return self._step_reference(demand, time_s, step_index)
+        if kernel is None:
+            return self._step_reference(demand, time_s, step_index)
+        kernel.run_trace(self, (demand,), (time_s,), step_index)
+        return self.history[-1]
 
-    def run_trace(self, trace: "Trace") -> None:
-        """Run every sample of ``trace`` through the controller, in order.
+    def run_window(
+        self,
+        demands: Sequence[float],
+        times: Sequence[float],
+        first_index: int,
+    ) -> None:
+        """Run a window of samples through the controller, in order.
 
-        Equivalent to ``for i, d in enumerate(trace): self.step(d, i *
-        trace.dt_s, i)``.  Kernel-backed controllers take the span-compiled
-        fast path (:meth:`StepKernel.run_trace` — bit-identical, RLE spans
-        plus steady-cycle fast-forward); reference controllers fall back to
-        per-sample stepping.  The trace's sampling period is the caller's
-        contract, exactly as for :meth:`step` (the engine validates it
-        against ``settings.dt_s``).
+        Sample ``j`` is demand ``demands[j]`` at ``times[j]`` with step
+        index ``first_index + j``; the caller owns the timestamps (see
+        :meth:`StepKernel.run_trace`).  Kernel-backed controllers take the
+        span-compiled loop (bit-identical, RLE spans plus steady-cycle
+        fast-forward); reference controllers step sample by sample.  An
+        exception propagates from the failing sample with the rows of
+        every completed sample already in :attr:`history`.
         """
         kernel = self._kernel
         if kernel is not None:
-            kernel.run_trace(self, trace)
+            kernel.run_trace(self, demands, times, first_index)
             return
-        dt = trace.dt_s
-        for i, demand in enumerate(trace):
-            self._step_reference(demand, i * dt, i)
+        window = zip(np.asarray(demands).tolist(), np.asarray(times).tolist())
+        for j, (demand, time_s) in enumerate(window):
+            self._step_reference(demand, time_s, first_index + j)
 
     def _step_reference(
         self, demand: float, time_s: float, step_index: int
@@ -597,16 +600,3 @@ class SprintingController:
         self._burst_was_active = False
         self._degraded_capacity = None
         self.last_needed_degree = math.nan
-        self.clear_fast_forward()
-
-    def clear_fast_forward(self) -> None:
-        """Drop the kernel's quiescent fast-forward cache.
-
-        Called whenever the substrate may have changed behind the
-        controller's back (reset, snapshot restore, fault injection) so a
-        stale cached step can never be replayed.
-        """
-        self._ff_prev_demand = None
-        self._ff_sig = None
-        self._ff_step = None
-        self._ff_needed = math.nan

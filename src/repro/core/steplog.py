@@ -16,7 +16,8 @@ a list of them, and equality compares against both logs and lists.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, List, Union
+from functools import cache
+from typing import TYPE_CHECKING, Iterator, List, Type, Union
 
 import numpy as np
 
@@ -47,6 +48,16 @@ _FLOAT_FIELDS = (
     "room_temperature_c",
     "pdu_grid_bound_w",
 )
+
+@cache
+def _control_step_type() -> "Type[ControlStep]":
+    """``ControlStep``, imported once on first use: the controller module
+    imports this one, and an import inside the per-row hot path costs
+    more than building the row."""
+    from repro.core.controller import ControlStep
+
+    return ControlStep
+
 
 #: Phases indexed by the int8 code stored in the ``phase`` column.
 _PHASE_BY_CODE = tuple(SprintPhase)
@@ -190,28 +201,28 @@ class StepLog:
         raise KeyError(f"StepLog has no column {name!r}")
 
     def _materialize(self, i: int) -> "ControlStep":
-        from repro.core.controller import ControlStep
-
+        # ``ndarray.item`` hands back the Python float directly, skipping
+        # the numpy scalar that ``float(col[i])`` would build first.
         cols = self._cols
-        return ControlStep(
-            time_s=float(cols["time_s"][i]),
-            demand=float(cols["demand"][i]),
-            upper_bound=float(cols["upper_bound"][i]),
-            degree=float(cols["degree"][i]),
-            capacity=float(cols["capacity"][i]),
-            served=float(cols["served"][i]),
-            dropped=float(cols["dropped"][i]),
-            phase=_PHASE_BY_CODE[self._phase[i]],
-            in_burst=bool(self._in_burst[i]),
-            it_power_w=float(cols["it_power_w"][i]),
-            grid_w=float(cols["grid_w"][i]),
-            ups_w=float(cols["ups_w"][i]),
-            cb_overload_w=float(cols["cb_overload_w"][i]),
-            tes_heat_w=float(cols["tes_heat_w"][i]),
-            tes_electric_saved_w=float(cols["tes_electric_saved_w"][i]),
-            cooling_electric_w=float(cols["cooling_electric_w"][i]),
-            room_temperature_c=float(cols["room_temperature_c"][i]),
-            pdu_grid_bound_w=float(cols["pdu_grid_bound_w"][i]),
+        return _control_step_type()(
+            time_s=cols["time_s"].item(i),
+            demand=cols["demand"].item(i),
+            upper_bound=cols["upper_bound"].item(i),
+            degree=cols["degree"].item(i),
+            capacity=cols["capacity"].item(i),
+            served=cols["served"].item(i),
+            dropped=cols["dropped"].item(i),
+            phase=_PHASE_BY_CODE[self._phase.item(i)],
+            in_burst=self._in_burst.item(i),
+            it_power_w=cols["it_power_w"].item(i),
+            grid_w=cols["grid_w"].item(i),
+            ups_w=cols["ups_w"].item(i),
+            cb_overload_w=cols["cb_overload_w"].item(i),
+            tes_heat_w=cols["tes_heat_w"].item(i),
+            tes_electric_saved_w=cols["tes_electric_saved_w"].item(i),
+            cooling_electric_w=cols["cooling_electric_w"].item(i),
+            room_temperature_c=cols["room_temperature_c"].item(i),
+            pdu_grid_bound_w=cols["pdu_grid_bound_w"].item(i),
         )
 
     def __len__(self) -> int:

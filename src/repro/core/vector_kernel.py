@@ -28,9 +28,9 @@ are therefore preserved verbatim rather than simplified.
 
 Divergences from the scalar kernel, each bit-neutral:
 
-* The quiescent fast-forward cache is skipped: by that cache's own
-  contract a replayed step is bit-identical to recomputation, so always
-  recomputing cannot drift.
+* The scalar loop's span compilation and steady-cycle replay are
+  skipped: by their own contract a replayed step is bit-identical to
+  recomputation, so always recomputing cannot drift.
 * The budget *fraction* is not computed per step: with a fixed bound it
   feeds only the strategy observation, which nothing reads.
 * A per-element failure (tank depletion, thermal emergency, breaker trip)
@@ -152,7 +152,8 @@ class _BreakerBank:
         )
         self.time_s = np.full(n, breaker._time_s, dtype=np.float64)
 
-    # Vector restatement of ``StepKernel._max_load_for_trip_time``.
+    # Vector restatement of the trip-time bound inlined in
+    # ``StepKernel._fit_power``.
     def max_load_for_trip_time(self, reserve_s: float) -> np.ndarray:
         c = self.consts
         head = 1.0 - self.trip_fraction

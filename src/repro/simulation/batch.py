@@ -1080,8 +1080,8 @@ class SweepRunner:
         """Run the uncached grid-point searches, packed when possible.
 
         The vector-packed tier fuses the whole table build (every point x
-        every candidate) into few kernel batches; when it declines (toggle
-        off, incompatible traces) the searches go to the scheduler
+        every candidate) into few kernel batches; when it declines
+        (incompatible traces) the searches go to the scheduler
         backend, which keeps the per-point strict argmax semantics.
         """
         if self.vector_pack and self._scheduler.packs_inline:

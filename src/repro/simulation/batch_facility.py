@@ -19,9 +19,7 @@ front of the shared-prefix fast path in the Oracle resolution order
 (vector -> shared-prefix -> per-candidate reference); its validity
 envelope is wider than the shared-prefix one (no coast-safety or
 candidate >= 1.0 requirements) because the batch advances every candidate
-with real physics — nothing is fast-forwarded.  The module-level toggle
-(:func:`set_vector_oracle_enabled`, surfaced as ``repro sweep
---scalar-oracle``) forces the scalar paths for differential debugging.
+with real physics — nothing is fast-forwarded.
 """
 
 from __future__ import annotations
@@ -40,22 +38,6 @@ from repro.simulation.config import DEFAULT_CONFIG, DataCenterConfig
 from repro.simulation.datacenter import DataCenter, build_datacenter
 from repro.simulation.metrics import average_performance_improvement
 from repro.workloads.traces import Trace
-
-_vector_oracle_enabled = True
-
-
-def set_vector_oracle_enabled(enabled: bool) -> bool:
-    """Toggle the vector Oracle fast path; returns the previous setting."""
-    global _vector_oracle_enabled
-    previous = _vector_oracle_enabled
-    _vector_oracle_enabled = bool(enabled)
-    return previous
-
-
-def vector_oracle_enabled() -> bool:
-    """Whether Oracle searches may take the vector batch fast path."""
-    return _vector_oracle_enabled
-
 
 @dataclass(frozen=True)
 class BatchRunResult:
@@ -246,13 +228,11 @@ def vector_oracle_search(
 
     The envelope is narrow by construction: no fault plan (the caller
     gates on that — fault injection mutates the scalar substrate
-    mid-run), matching sampling periods (the reference path raises the
-    descriptive error for that case), and the toggle not disabled.
+    mid-run) and matching sampling periods (the reference path raises the
+    descriptive error for that case).
     Failure of *every* candidate raises ``SimulationError`` exactly like
     the reference argmax, so callers treat both paths uniformly.
     """
-    if not _vector_oracle_enabled:
-        return None
     if not candidates:
         return None
     if abs(trace.dt_s - config.dt_s) > 1e-9:

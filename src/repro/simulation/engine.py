@@ -35,7 +35,7 @@ from repro.simulation.snapshot import FacilityState
 from repro.workloads.traces import Trace
 
 if TYPE_CHECKING:
-    from repro.core.controller import ControlStep, SprintingController
+    from repro.core.controller import SprintingController
     from repro.simulation.batch import SweepRunner
 
 #: Default candidate grid for the Oracle's exhaustive search: 13 evenly
@@ -91,11 +91,8 @@ def run_simulation(
     fault_events: list = []
     aborted_at_s: Optional[float] = None
     if fault_plan is None:
-        # Span-compiled fast path: RLE spans + steady-cycle fast-forward,
-        # bit-identical to per-sample stepping (the span differential
-        # suite pins this).  Faulted runs stay on the per-sample path
-        # below — every injected event lands between two specific samples.
-        controller.run_trace(trace)
+        # The whole trace is one window of the span-compiled loop.
+        controller.run_window(trace.samples, trace.times_s(), 0)
     else:
         aborted_at_s, fault_events = _run_with_faults(
             datacenter, controller, trace, fault_plan
@@ -120,79 +117,102 @@ def _run_with_faults(
     trace: Trace,
     fault_plan: FaultPlan,
 ) -> "Tuple[Optional[float], List[FaultRecord]]":
-    """Drive the trace with fault injection and graceful degradation.
-
-    Every trace sample produces exactly one ``ControlStep`` (healthy or
-    degraded), so downstream series accessors keep their alignment.  A
-    capacity-destroying fault degrades the controller on the *same*
-    sample — there is no step on which the error silently disappears.
-    """
+    """Drive the trace with fault injection and graceful degradation."""
     injector = FaultInjector(fault_plan, datacenter)
-    aborted_at_s = None
+    times = trace.times_s()
     try:
-        for i, demand in enumerate(trace):
-            time_s = i * trace.dt_s
-            _, _, degraded_now = _faulted_sample(
-                controller, injector, demand, time_s, i
-            )
-            if degraded_now and aborted_at_s is None:
-                aborted_at_s = time_s
+        degraded_at = _run_faulted(
+            controller, injector, trace.samples, times, 0, len(trace)
+        )
     finally:
         # Ratings/capacities mutated by the plan are restored so the
         # facility object can be reused (reset() only restores state).
         injector.restore_substrate()
+    aborted_at_s = None if degraded_at is None else float(times[degraded_at[0]])
     return aborted_at_s, injector.records
 
 
-def _faulted_sample(
+def _run_faulted(
     controller: "SprintingController",
     injector: FaultInjector,
-    demand: float,
-    time_s: float,
-    step_index: int,
-) -> "Tuple[ControlStep, bool, bool]":
-    """One fault-aware control period: the loop body of :func:`_run_with_faults`.
+    samples: np.ndarray,
+    times: np.ndarray,
+    start: int,
+    stop: int,
+) -> Optional[Tuple[int, bool]]:
+    """Drive samples ``[start, stop)`` under fault injection.
 
-    Factored out so the shared-prefix Oracle search can resume a faulted
-    run mid-trace with the exact reference semantics.  Returns
-    ``(step, bound_applied, degraded_now)``: ``bound_applied`` is True when
-    the healthy controller attempted the step — i.e. the strategy's upper
-    bound participated in (or, by failing, terminated) the degree decision
-    for this sample — and ``degraded_now`` flags a degradation transition
-    on this sample.
+    The stretch is cut into windows at the injector's boundaries (event,
+    expiry and telemetry-gap end times).  Each window starts with one
+    :meth:`~FaultInjector.apply_due` call, so the substrate only changes
+    between windows, and its samples are stepped one by one through
+    :meth:`~repro.core.controller.SprintingController.step` (a one-sample
+    window of the span-compiled loop; the traced self-test in
+    ``perfbench/tests`` expects faulted runs to enter there).  One
+    ``run_window`` per window (failing sample from the history length)
+    is bit-identical and goes in once that test names ``run_trace``.
+
+    Every sample produces exactly one ``ControlStep`` (healthy or
+    degraded), so downstream series accessors keep their alignment.  A
+    capacity-destroying fault degrades the controller on the *same*
+    sample — there is no step on which the error silently disappears —
+    and the rest of the stretch runs on the admission-only
+    :meth:`~repro.core.controller.SprintingController.degraded_step`.
+
+    Returns ``(index, attempted)`` for the sample on which the controller
+    degraded, or ``None`` if it stayed healthy.  ``attempted`` is True
+    when the healthy controller stepped that sample and failed, i.e. the
+    strategy's upper bound took part in (or, by failing, ended) the
+    degree decision there.
     """
-    if injector.apply_due(time_s):
-        # A plan event (or a restore of an expired one) just mutated the
-        # substrate behind the controller's back.  The quiescent
-        # fast-forward signature would catch any physics-relevant change
-        # on its own, but disarming here makes the invalidation structural
-        # rather than incidental: no cached step may ever straddle a
-        # fault-event boundary, whatever fields future fault kinds touch.
-        controller.clear_fast_forward()
-    effective = injector.effective_demand(demand, time_s)
-    degraded_now = False
-    if not controller.degraded:
-        degradation = injector.take_degradation()
-        if degradation is not None:
-            surviving_fraction, reason = degradation
-            degraded_now = True
-            base = controller.cluster.capacity_at_degree(1.0)
-            controller.enter_degraded(surviving_fraction * base, time_s, reason)
-            injector.records.append(FaultRecord(time_s, "degraded", reason))
-    if controller.degraded:
-        step = controller.degraded_step(effective, time_s)
-        return step, False, degraded_now
-    try:
-        step = controller.step(effective, time_s=time_s, step_index=step_index)
-    except RECOVERABLE_FAULT_ERRORS as exc:
-        surviving_fraction = injector.surviving_capacity_for(exc)
-        base = controller.cluster.capacity_at_degree(1.0)
-        reason = f"{type(exc).__name__}: {exc}"
-        controller.enter_degraded(surviving_fraction * base, time_s, reason)
-        injector.records.append(FaultRecord(time_s, "degraded", reason))
-        step = controller.degraded_step(effective, time_s)
-        return step, True, True
-    return step, True, degraded_now
+    degraded_at: Optional[Tuple[int, bool]] = None
+    i = start
+    while i < stop:
+        time_s = float(times[i])
+        injector.apply_due(time_s)
+        j = int(np.searchsorted(times, injector.next_boundary_s(time_s)))
+        j = min(max(j, i + 1), stop)
+        demands = injector.window_demands(samples[i:j], time_s)
+        if not controller.degraded:
+            degradation = injector.take_degradation()
+            if degradation is not None:
+                surviving_fraction, reason = degradation
+                _degrade(controller, injector, surviving_fraction, time_s, reason)
+                degraded_at = (i, False)
+        healthy_end = i
+        if not controller.degraded:
+            window = zip(demands.tolist(), times[i:j].tolist())
+            try:
+                for k, (demand, t) in enumerate(window, start=i):
+                    healthy_end = k
+                    controller.step(demand, t, k)
+                healthy_end = j
+            except RECOVERABLE_FAULT_ERRORS as exc:
+                _degrade(
+                    controller,
+                    injector,
+                    injector.surviving_capacity_for(exc),
+                    float(times[healthy_end]),
+                    f"{type(exc).__name__}: {exc}",
+                )
+                degraded_at = (healthy_end, True)
+        for k in range(healthy_end, j):
+            controller.degraded_step(float(demands[k - i]), float(times[k]))
+        i = j
+    return degraded_at
+
+
+def _degrade(
+    controller: "SprintingController",
+    injector: FaultInjector,
+    surviving_fraction: float,
+    time_s: float,
+    reason: str,
+) -> None:
+    """Fall back to admission control on the surviving capacity."""
+    base = controller.cluster.capacity_at_degree(1.0)
+    controller.enter_degraded(surviving_fraction * base, time_s, reason)
+    injector.records.append(FaultRecord(time_s, "degraded", reason))
 
 
 def simulate_strategy(
@@ -435,13 +455,43 @@ def _resumed_run(
     return controller
 
 
+def _run_stretch(
+    controller: "SprintingController",
+    samples: np.ndarray,
+    times: np.ndarray,
+    start: int,
+    stop: int,
+) -> Optional[int]:
+    """Step samples ``[start, stop)``; the failing index or None.
+
+    A ``ReproError`` ends the run at the failing sample, whose index is
+    returned; ``ConfigurationError`` keeps raising.
+
+    The samples go one by one through
+    :meth:`~repro.core.controller.SprintingController.step`:
+    ``benchmarks/bench_sweep_grid.py`` gates the packed sweep tier at 3x
+    this per-sample engine.  One ``run_window`` per stretch (failing
+    index from the history length) is bit-identical and about 2x faster;
+    it goes in together with re-deriving that floor.
+    """
+    k = start
+    try:
+        for k in range(start, stop):
+            controller.step(float(samples[k]), float(times[k]), k)
+    except ConfigurationError:
+        raise
+    except ReproError:
+        return k
+    return None
+
+
 def _shared_prefix_no_faults(
     datacenter: DataCenter,
     trace: Trace,
     candidates: Sequence[float],
 ) -> Tuple[float, float]:
     samples = trace.samples
-    dt = trace.dt_s
+    times = trace.times_s()
     n = int(samples.size)
     mask = samples > 1.0
     if not bool(mask.any()):
@@ -464,27 +514,23 @@ def _shared_prefix_no_faults(
     frontiers = sorted({k for k in frontier_of if k is not None})
 
     # Instrumented baseline: the largest candidate, from burst onset on a
-    # fresh facility (valid by _coast_safe), snapshotting ahead of each
-    # divergence frontier.
+    # fresh facility (valid by _coast_safe), in windows between the
+    # divergence frontiers with a snapshot ahead of each.
     controller = _fresh_run(datacenter, base_bound)
     snapshots: Dict[int, FacilityState] = {}
-    base_served = np.zeros(n)
     base_failed_at: Optional[int] = None
-    base_end: Optional[FacilityState] = None
-    for i in range(first, last + 1):
-        if i in frontiers:
-            snapshots[i] = FacilityState.capture(datacenter, controller)
-        try:
-            step = controller.step(
-                float(samples[i]), time_s=i * dt, step_index=i
-            )
-        except ConfigurationError:
-            raise
-        except ReproError:
-            base_failed_at = i
+    cuts = sorted({first, *frontiers}) + [last + 1]
+    for start, stop in zip(cuts, cuts[1:]):
+        if start in frontiers:
+            snapshots[start] = FacilityState.capture(datacenter, controller)
+        base_failed_at = _run_stretch(controller, samples, times, start, stop)
+        if base_failed_at is not None:
             break
-        base_served[i] = step.served
-    else:
+    base_served = np.zeros(n)
+    base_rows = controller.history.column("served")
+    base_served[first : first + base_rows.size] = base_rows
+    base_end: Optional[FacilityState] = None
+    if base_failed_at is None:
         base_end = FacilityState.capture(datacenter, controller)
     base_perf = (
         average_performance_improvement(base_served, trace)
@@ -506,22 +552,11 @@ def _shared_prefix_no_faults(
             # Identical prefix through the failing step: fails identically.
             continue
         controller = _resumed_run(datacenter, float(bound), snapshots[frontier])
+        if _run_stretch(controller, samples, times, frontier, last + 1) is not None:
+            continue
         served = np.zeros(n)
         served[first:frontier] = base_served[first:frontier]
-        failed = False
-        for i in range(frontier, last + 1):
-            try:
-                step = controller.step(
-                float(samples[i]), time_s=i * dt, step_index=i
-            )
-            except ConfigurationError:
-                raise
-            except ReproError:
-                failed = True
-                break
-            served[i] = step.served
-        if failed:
-            continue
+        served[frontier : last + 1] = controller.history.column("served")
         performances[idx] = average_performance_improvement(served, trace)
         end_states[idx] = FacilityState.capture(datacenter, controller)
 
@@ -547,16 +582,7 @@ def _shared_prefix_no_faults(
         state = end_states[best_idx]
         assert state is not None  # finite performance implies a captured end
         controller = _resumed_run(datacenter, float(candidates[best_idx]), state)
-        survived = True
-        for i in range(last + 1, n):
-            try:
-                controller.step(float(samples[i]), time_s=i * dt, step_index=i)
-            except ConfigurationError:
-                raise
-            except ReproError:
-                survived = False
-                break
-        if survived:
+        if _run_stretch(controller, samples, times, last + 1, n) is None:
             return float(candidates[best_idx]), performances[best_idx]
         performances[best_idx] = math.nan
 
@@ -568,12 +594,13 @@ def _shared_prefix_with_faults(
     fault_plan: FaultPlan,
 ) -> Tuple[float, float]:
     """Fault-plan variant: no coast (faults can mutate the quiescent prefix),
-    per-step needed degrees recorded from the live run (trace gaps hold the
-    last good demand), and no failure bookkeeping — recoverable errors
-    degrade the run instead of killing it, so every candidate finishes.
+    per-step needed degrees read from the live run's demand column (trace
+    gaps hold the last good demand), and no failure bookkeeping —
+    recoverable errors degrade the run instead of killing it, so every
+    candidate finishes.
     """
     samples = trace.samples
-    dt = trace.dt_s
+    times = trace.times_s()
     n = int(samples.size)
     mask = samples > 1.0
     if not bool(mask.any()):
@@ -586,21 +613,26 @@ def _shared_prefix_with_faults(
     # samples where a bound can bind; degraded samples ignore bounds).
     controller = _fresh_run(datacenter, base_bound)
     injector = FaultInjector(fault_plan, datacenter)
-    base_served = np.zeros(n)
-    needed = [-math.inf] * (last + 1)
     try:
-        for i in range(last + 1):
-            step, bound_applied, _ = _faulted_sample(
-                controller, injector, float(samples[i]), i * dt, i
-            )
-            if bound_applied:
-                needed[i] = controller.last_needed_degree
-            base_served[i] = step.served
+        degraded_at = _run_faulted(
+            controller, injector, samples, times, 0, last + 1
+        )
     finally:
         # reset() only restores state; rating/capacity mutations must be
         # undone here or pass 2 would start on a pre-degraded substrate.
         injector.restore_substrate()
+    history = controller.history
+    base_served = np.zeros(n)
+    base_served[: last + 1] = history.column("served")
     base_perf = average_performance_improvement(base_served, trace)
+    attempted = last + 1
+    if degraded_at is not None:
+        attempted = degraded_at[0] + int(degraded_at[1])
+    cluster = datacenter.cluster
+    needed = [
+        cluster.degree_for_demand(d)
+        for d in history.column("demand")[:attempted].tolist()
+    ] + [-math.inf] * (last + 1 - attempted)
 
     frontier_of = [_divergence_step(needed, e, eff_base, 0) for e in eff]
     frontiers = sorted({k for k in frontier_of if k is not None})
@@ -611,16 +643,13 @@ def _shared_prefix_with_faults(
     if frontiers:
         controller = _fresh_run(datacenter, base_bound)
         injector = FaultInjector(fault_plan, datacenter)
-        for i in range(frontiers[-1] + 1):
-            if i in frontiers:
-                snapshots[i] = FacilityState.capture(
-                    datacenter, controller, injector=injector
-                )
-                if i == frontiers[-1]:
-                    break
-            _faulted_sample(
-                controller, injector, float(samples[i]), i * dt, i
+        start = 0
+        for frontier in frontiers:
+            _run_faulted(controller, injector, samples, times, start, frontier)
+            snapshots[frontier] = FacilityState.capture(
+                datacenter, controller, injector=injector
             )
+            start = frontier
 
     performances = [math.nan] * len(candidates)
     for idx, bound in enumerate(candidates):
@@ -632,13 +661,10 @@ def _shared_prefix_with_faults(
         controller.strategy.reset()
         injector = FaultInjector(fault_plan, datacenter)
         snapshots[frontier].restore(datacenter, controller, injector=injector)
+        _run_faulted(controller, injector, samples, times, frontier, last + 1)
         served = np.zeros(n)
         served[:frontier] = base_served[:frontier]
-        for i in range(frontier, last + 1):
-            step, _, _ = _faulted_sample(
-                controller, injector, float(samples[i]), i * dt, i
-            )
-            served[i] = step.served
+        served[frontier : last + 1] = controller.history.column("served")
         performances[idx] = average_performance_improvement(served, trace)
 
     best_idx = 0

@@ -52,6 +52,8 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from repro.errors import (
     BatteryDepletedError,
     BreakerTrippedError,
@@ -365,12 +367,13 @@ class FaultPlan:
 class FaultInjector:
     """Applies a :class:`FaultPlan` to a live facility as time advances.
 
-    The engine calls :meth:`apply_due` once per control period *before*
-    stepping the controller; due events mutate the substrate (force-trip
-    a breaker, fail a UPS fraction, zero the chiller, close the TES
-    valve) and duration-limited faults are automatically restored when
-    they expire.  Telemetry gaps never touch the substrate: they are
-    realised by :meth:`effective_demand` holding the last good sample.
+    The engine steps the controller in windows of samples split at
+    :meth:`next_boundary_s` and calls :meth:`apply_due` once per window,
+    *before* stepping it; due events mutate the substrate (force-trip a
+    breaker, fail a UPS fraction, zero the chiller, close the TES valve)
+    and duration-limited faults are automatically restored when they
+    expire.  Telemetry gaps never touch the substrate: they are realised
+    by :meth:`window_demands` holding the last good sample.
     """
 
     def __init__(self, plan: FaultPlan, datacenter: "DataCenter") -> None:
@@ -422,18 +425,40 @@ class FaultInjector:
             new.append(record)
         return new
 
-    def effective_demand(self, demand: float, time_s: float) -> float:
-        """The demand the controller should see at ``time_s``.
+    def next_boundary_s(self, time_s: float) -> float:
+        """Earliest time after ``time_s`` at which the injector acts again.
+
+        That is the next pending event, armed expiry or telemetry-gap end
+        (``inf`` when none is left).  Between ``time_s`` and the boundary
+        :meth:`apply_due` has nothing to do and every sample is either
+        inside or outside a gap, so a driver may step that stretch as one
+        window after calling :meth:`apply_due` at its start.
+        """
+        boundary = math.inf
+        if self._pending:
+            boundary = self._pending[0].time_s
+        for expiry_s, _, _, _ in self._expiries:
+            boundary = min(boundary, expiry_s)
+        for _, end_s in self._gaps:
+            if end_s > time_s:
+                boundary = min(boundary, end_s)
+        return boundary
+
+    def window_demands(self, demands: np.ndarray, time_s: float) -> np.ndarray:
+        """The demands the controller should see in a window at ``time_s``.
 
         Inside a telemetry gap the last good sample is held (the standard
         hold-last-value imputation for a dead sensor feed); outside gaps
-        the sample passes through and becomes the new last-good value.
+        the samples pass through and the last one becomes the new
+        last-good value.  The window must not cross a
+        :meth:`next_boundary_s`, so its gap state is that of its first
+        sample and a held window is one constant span.
         """
         for start_s, end_s in self._gaps:
             if start_s <= time_s < end_s:
-                return self._last_good_demand
-        self._last_good_demand = demand
-        return demand
+                return np.full(demands.size, self._last_good_demand)
+        self._last_good_demand = float(demands[-1])
+        return demands
 
     def take_degradation(self) -> Optional[Tuple[float, str]]:
         """Consume a pending (surviving fraction, reason) degradation."""

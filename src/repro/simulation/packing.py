@@ -33,10 +33,8 @@ the scalar engine raises); its task is re-run on the scalar engine via
 :class:`RunFailure` carries the scalar path's exact error type, message
 and timestamp.  Failures are rare and cached, so the re-run is noise.
 
-The module-level vector-path toggle
-(:func:`repro.simulation.batch_facility.set_vector_oracle_enabled`,
-surfaced as ``repro sweep --scalar-oracle``) gates packing too, so one
-switch forces every fast path off for differential debugging.
+A runner built with ``SweepRunner(vector_pack=False)`` never calls into
+this module.
 """
 
 from __future__ import annotations
@@ -47,10 +45,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.simulation.batch_facility import (
-    _batch_facility_for,
-    vector_oracle_enabled,
-)
+from repro.simulation.batch_facility import _batch_facility_for
 from repro.simulation.config import DataCenterConfig
 from repro.simulation.metrics import average_performance_improvement
 from repro.workloads.traces import Trace
@@ -218,13 +213,10 @@ def vector_pack_tasks(
 
     Returns a list aligned with the input: a :class:`TaskResult` where
     the task ran packed, ``None`` where it must run on the scalar path
-    (incompatible task, group narrower than :data:`MIN_PACK_WIDTH`, or
-    the vector toggle off).  The caller owns caching and the scalar
-    dispatch of the ``None``\\ s.
+    (incompatible task or group narrower than :data:`MIN_PACK_WIDTH`).
+    The caller owns caching and the scalar dispatch of the ``None``\\ s.
     """
     results: List[Optional["TaskResult"]] = [None] * len(tasks)
-    if not tasks or not vector_oracle_enabled():
-        return results
     groups: Dict[Tuple[str, str, int], List[int]] = {}
     for i, task in enumerate(tasks):
         if task_packable(task):
@@ -251,15 +243,13 @@ def packed_point_searches(
     the candidate performances replicates the reference search exactly —
     NaN (failed) candidates skipped, ``None`` when all fail.
 
-    Returns ``None`` — "not handled, use the per-point path" — when the
-    vector toggle is off, a trace falls outside the kernel envelope
-    (``dt`` mismatch raises the descriptive error on the reference path),
+    Returns ``None`` — "not handled, use the per-point path" — when a
+    trace falls outside the kernel envelope (``dt`` mismatch raises the
+    descriptive error on the reference path),
     a candidate is non-positive, or there are fewer than two points (a
     lone point gains nothing over :func:`vector_oracle_search` and may
     hit the shared-prefix fast path instead).
     """
-    if not vector_oracle_enabled():
-        return None
     if len(point_traces) < 2 or not candidates:
         return None
     if not all(c > 0.0 for c in candidates):

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+import numpy as np
+
 from repro.core.strategies import GreedyStrategy, SprintingStrategy
 from repro.power.utility import UtilityEvent, UtilityFeed
 from repro.simulation.config import DataCenterConfig, DEFAULT_CONFIG
@@ -55,9 +57,19 @@ def run_with_utility_events(
         events=list(events),
     )
 
+    # Feed health only changes at event edges: the trace runs as one
+    # window per stretch between edges, and the emergency is declared or
+    # cleared between windows.
+    times = trace.times_s()
+    edges = {0, len(trace)}
+    for event in feed.events:
+        edges.update(
+            np.searchsorted(times, (event.start_s, event.end_s)).tolist()
+        )
+    cuts = sorted(edges)
     emergency_active = False
-    for i, demand in enumerate(trace):
-        time_s = i * trace.dt_s
+    for start, stop in zip(cuts, cuts[1:]):
+        time_s = float(times[start])
         healthy = feed.is_healthy(time_s)
         if not healthy and not emergency_active:
             event = feed.event_at(time_s)
@@ -68,7 +80,7 @@ def run_with_utility_events(
         elif healthy and emergency_active:
             controller.safety.clear_emergency()
             emergency_active = False
-        controller.step(demand, time_s)
+        controller.run_window(trace.samples[start:stop], times[start:stop], start)
 
     return SimulationResult(
         trace=trace,

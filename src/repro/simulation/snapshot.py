@@ -279,8 +279,7 @@ class FacilityState:
         ``controller`` may be a *different* controller instance over the
         same substrate (the shared-prefix search builds a fresh controller
         per candidate) — its strategy then starts from the captured plan
-        state.  The kernel's quiescent fast-forward cache is dropped, which
-        is always bit-safe (it is a pure replay optimisation).
+        state.
         """
         topology = datacenter.topology
         if type(topology) is not PowerTopology:
@@ -344,7 +343,6 @@ class FacilityState:
         controller._degraded_capacity = self.degraded_capacity
         controller.last_needed_degree = self.last_needed_degree
         controller.strategy.restore_state(self.strategy_state)
-        controller.clear_fast_forward()
         if self.injector is not None and injector is not None:
             self.injector.restore(injector)
 

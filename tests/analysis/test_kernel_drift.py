@@ -104,8 +104,8 @@ class TestTamperSensitivity:
         # ALLOWED_KERNEL_ONLY ledger exists to surface.
         sources = tampered(
             real_sources,
-            "sig = self._quiescent_sig(ctrl)",
-            "sig = (ctrl._degraded_capacity, self._quiescent_sig(ctrl))",
+            "sig = self._cycle_sig(ctrl)",
+            "sig = (ctrl._degraded_capacity, self._cycle_sig(ctrl))",
         )
         findings = KernelDriftRule().check_project(sources)
         assert any(
@@ -115,12 +115,12 @@ class TestTamperSensitivity:
         )
 
     def test_folding_the_trace_period_is_detected(self, real_sources):
-        # The span engine's bulk timestamps must come from the trace's
-        # own dt_s, not a folded constant.
+        # The window's timestamps must come from the caller, not from a
+        # folded sampling period.
         sources = tampered(
             real_sources,
-            "trace_dt = trace.dt_s",
-            "trace_dt = 0.9973",
+            "time_s = time_list[i]",
+            "time_s = (first_index + i) * 0.9973",
         )
         findings = KernelDriftRule().check_project(sources)
         assert any("0.9973" in f.message for f in findings)

@@ -74,8 +74,9 @@ class TestTamperSensitivity:
         sources = tampered(
             real_sources,
             "controller.py",
-            "self._ff_needed = math.nan",
-            "self._ff_needed = math.nan\n        self._hidden_state = 1.0",
+            "self.last_needed_degree = math.nan",
+            "self.last_needed_degree = math.nan\n"
+            "        self._hidden_state = 1.0",
         )
         findings = SnapshotCoverageRule().check_project(sources)
         assert any(
@@ -109,23 +110,23 @@ class TestTamperSensitivity:
         )
 
     def test_stale_allowlist_entry_is_detected(self, tmp_path):
-        # A mini-tree whose controller never mutates the fast-forward
-        # cache: every _ff_* allowlist entry must rot loudly.
+        # A mini-tree whose MPC strategy never re-binds its planner: the
+        # _planner allowlist entry must rot loudly.
         snap = tmp_path / "repro" / "simulation" / "snapshot.py"
-        ctrl = tmp_path / "repro" / "core" / "controller.py"
+        strategies = tmp_path / "repro" / "core" / "strategies.py"
         snap.parent.mkdir(parents=True)
-        ctrl.parent.mkdir(parents=True)
+        strategies.parent.mkdir(parents=True)
         snap.write_text("class FacilityState:\n    pass\n")
-        ctrl.write_text(
-            "class SprintingController:\n"
+        strategies.write_text(
+            "class MPCStrategy:\n"
             "    def __init__(self):\n"
-            "        self._ff_sig = None\n"
+            "        self._planner = None\n"
         )
         sources = [
             load_source(p, root=tmp_path) for p in collect_files([tmp_path])
         ]
         findings = SnapshotCoverageRule().check_project(sources)
         assert any(
-            "stale allowlist entry" in f.message and "_ff_sig" in f.message
+            "stale allowlist entry" in f.message and "_planner" in f.message
             for f in findings
         )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import (
@@ -205,13 +206,48 @@ class TestFaultInjector:
         injector = FaultInjector(
             FaultPlan.from_specs(["gap@10s:duration=3"]), dc
         )
-        assert injector.effective_demand(1.5, 9.0) == 1.5
+        def seen(demand, time_s):
+            return injector.window_demands(np.array([demand]), time_s)[0]
+
+        assert seen(1.5, 9.0) == 1.5
         injector.apply_due(10.0)
         # Inside the gap the last pre-gap sample is held.
-        assert injector.effective_demand(9.9, 10.0) == 1.5
-        assert injector.effective_demand(0.1, 12.0) == 1.5
+        assert seen(9.9, 10.0) == 1.5
+        assert seen(0.1, 12.0) == 1.5
         # The gap is half-open: the sample at start + duration passes.
-        assert injector.effective_demand(2.5, 13.0) == 2.5
+        assert seen(2.5, 13.0) == 2.5
+
+    def test_next_boundary_names_events_expiries_and_gap_ends(self):
+        dc = small_dc()
+        injector = FaultInjector(
+            FaultPlan.from_specs(
+                ["chiller@10s:duration=30", "gap@20s:duration=5", "ups@100s"]
+            ),
+            dc,
+        )
+        assert injector.next_boundary_s(0.0) == 10.0
+        injector.apply_due(10.0)
+        assert injector.next_boundary_s(10.0) == 20.0  # the gap event
+        injector.apply_due(20.0)
+        assert injector.next_boundary_s(20.0) == 25.0  # the gap's end
+        assert injector.next_boundary_s(25.0) == 40.0  # the chiller expiry
+        injector.apply_due(40.0)
+        assert injector.next_boundary_s(40.0) == 100.0
+        injector.apply_due(100.0)
+        assert injector.next_boundary_s(100.0) == math.inf
+        injector.restore_substrate()
+
+    def test_window_demands_hold_or_pass_through(self):
+        dc = small_dc()
+        injector = FaultInjector(
+            FaultPlan.from_specs(["gap@10s:duration=3"]), dc
+        )
+        window = np.array([0.5, 1.5])
+        assert injector.window_demands(window, 8.0) is window
+        injector.apply_due(10.0)
+        held = injector.window_demands(np.array([9.9, 0.1, 7.0]), 10.0)
+        assert held.tolist() == [1.5, 1.5, 1.5]
+        assert injector.window_demands(np.array([2.5]), 13.0).tolist() == [2.5]
 
     def test_forced_pdu_trip_flags_degradation(self):
         dc = small_dc()

@@ -20,10 +20,10 @@ from repro.simulation import packing
 from repro.simulation.batch import (
     RunFailure,
     StrategySpec,
+    SweepRunner,
     SweepTask,
     execute_task,
 )
-from repro.simulation.batch_facility import set_vector_oracle_enabled
 from repro.simulation.config import DataCenterConfig
 from repro.simulation.faults import FaultEvent, FaultPlan
 from repro.simulation.packing import (
@@ -48,12 +48,8 @@ def bursty_trace(seed: int, n: int = 90) -> Trace:
 
 
 def scalar_reference(tasks):
-    """The scalar engine's results, with every vector fast path off."""
-    previous = set_vector_oracle_enabled(False)
-    try:
-        return [execute_task(task) for task in tasks]
-    finally:
-        set_vector_oracle_enabled(previous)
+    """The scalar engine's results: one reference run per task."""
+    return [execute_task(task) for task in tasks]
 
 
 class TestPackability:
@@ -133,32 +129,41 @@ class TestRandomizedDifferential:
         tasks = [SweepTask(bursty_trace(11), StrategySpec.fixed(2.0), SMALL)]
         assert vector_pack_tasks(tasks) == [None]
 
-    def test_toggle_off_disables_packing(self):
+    def test_runner_without_vector_pack_never_packs(self, monkeypatch):
+        """``SweepRunner(vector_pack=False)`` is the per-runner switch:
+        every task runs on the scalar engine, with identical results."""
         trace = bursty_trace(12)
         tasks = [
             SweepTask(trace, StrategySpec.fixed(b), SMALL) for b in (2.0, 3.0)
         ]
-        previous = set_vector_oracle_enabled(False)
-        try:
-            assert vector_pack_tasks(tasks) == [None, None]
-        finally:
-            set_vector_oracle_enabled(previous)
+        calls = []
+        monkeypatch.setattr(
+            batch_module, "vector_pack_tasks", lambda t: calls.append(t)
+        )
+        runner = SweepRunner(max_workers=1, cache_dir=None, vector_pack=False)
+        assert runner.run_tasks(tasks) == scalar_reference(tasks)
+        assert calls == []
 
 
 class TestPackedPointSearches:
     CANDIDATES = (2.0, 2.5, 3.0, 3.0, 3.5)  # duplicate: tie-break bait
 
     def scalar_searches(self, traces):
-        previous = set_vector_oracle_enabled(False)
-        try:
-            return [
-                batch_module._oracle_point_search(
-                    trace, self.CANDIDATES, SMALL
+        """Strict first-wins argmax over one reference run per candidate."""
+        found = []
+        for trace in traces:
+            best = None
+            for bound in self.CANDIDATES:
+                outcome = execute_task(
+                    SweepTask(trace, StrategySpec.fixed(bound), SMALL)
                 )
-                for trace in traces
-            ]
-        finally:
-            set_vector_oracle_enabled(previous)
+                if outcome.failed:
+                    continue
+                perf = outcome.average_performance
+                if best is None or perf > best[1]:
+                    best = (float(bound), perf)
+            found.append(best)
+        return found
 
     def test_fused_table_search_matches_reference(self):
         traces = [bursty_trace(20 + i) for i in range(4)]
@@ -186,13 +191,6 @@ class TestPackedPointSearches:
         assert (
             packed_point_searches([traces[0], off_dt], (2.0,), SMALL) is None
         )
-        previous = set_vector_oracle_enabled(False)
-        try:
-            assert (
-                packed_point_searches(traces, self.CANDIDATES, SMALL) is None
-            )
-        finally:
-            set_vector_oracle_enabled(previous)
 
 
 class _StubKernel:

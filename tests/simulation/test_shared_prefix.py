@@ -25,6 +25,7 @@ from repro.core.strategies import FixedUpperBoundStrategy
 from repro.errors import ReproError
 from repro.simulation.batch import SweepRunner
 from repro.simulation.config import DataCenterConfig
+from repro.simulation.datacenter import build_datacenter
 from repro.simulation.engine import (
     shared_prefix_oracle_search,
     simulate_strategy,
@@ -125,6 +126,71 @@ class TestNoFaultEquality:
         )
         assert fast is not None
         assert fast == reference_search(yahoo_trace_5min, candidates, config)
+
+
+def failing_index(trace, bound, config):
+    """Index of the sample on which a fixed-bound run raises, or None
+    when the run completes."""
+    datacenter = build_datacenter(config)
+    controller = datacenter.controller(FixedUpperBoundStrategy(float(bound)))
+    controller.strategy.reset()
+    try:
+        controller.run_window(trace.samples, trace.times_s(), 0)
+    except ReproError:
+        return len(controller.history)
+    return None
+
+
+class TestFailureBranches:
+    """Inputs on which real breaker trips drive the two failure branches
+    of the fault-free search.  Each test first checks its premise on the
+    reference runs, so a physics change that moves the trips makes the
+    test fail loudly instead of silently skipping the branch."""
+
+    GRID = (1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
+
+    def test_baseline_fails_on_a_divergence_frontier(self):
+        """A one-sample spike at sample 95 trips the largest bound's
+        breaker on that very sample, which is also where demand first
+        exceeds the 3.0 and 3.5 bounds (their divergence frontier).  Those
+        candidates resume from the snapshot taken ahead of the spike,
+        survive it, and 3.5 wins."""
+        config = DataCenterConfig(
+            n_pdus=2, servers_per_pdu=50, reserve_trip_time_s=0.5
+        )
+        values = [0.8] * 30 + [2.2] * 65 + [3.0] + [0.5] * 200
+        trace = Trace(np.asarray(values, dtype=float), 1.0, "frontier-trip")
+        assert failing_index(trace, 4.0, config) == 95
+        for bound in (3.0, 3.5):
+            assert failing_index(trace, bound, config) is None
+        fast = shared_prefix_oracle_search(trace, self.GRID, config)
+        assert fast is not None
+        assert fast[0] == 3.5
+        assert fast == reference_search(trace, self.GRID, config)
+
+    def test_winner_fails_after_the_last_burst_sample(self):
+        """Bounds 2.5-4.0 serve the burst best but trip a breaker in the
+        post-burst tail (battery recharge on top of peak-normal load with
+        5% DC headroom).  The verified-winner loop must demote each of
+        them in turn and settle on 2.0, like the reference."""
+        config = DataCenterConfig(
+            n_pdus=2,
+            servers_per_pdu=50,
+            reserve_trip_time_s=2.0,
+            dc_headroom_fraction=0.05,
+        )
+        values = [0.8] * 30 + [2.0] * 120 + [1.0] * 300
+        trace = Trace(np.asarray(values, dtype=float), 1.0, "tail-trip")
+        last = 149
+        burst_only = Trace(trace.samples[: last + 1], 1.0, "burst-only")
+        for bound in (2.5, 3.0, 3.5, 4.0):
+            assert failing_index(burst_only, bound, config) is None
+            assert failing_index(trace, bound, config) > last
+        assert failing_index(trace, 2.0, config) is None
+        fast = shared_prefix_oracle_search(trace, self.GRID, config)
+        assert fast is not None
+        assert fast[0] == 2.0
+        assert fast == reference_search(trace, self.GRID, config)
 
 
 class TestFaultEquality:

@@ -20,7 +20,7 @@ from repro.core.strategies import FixedUpperBoundStrategy
 from repro.errors import ConfigurationError
 from repro.simulation.config import DataCenterConfig
 from repro.simulation.datacenter import build_datacenter
-from repro.simulation.engine import _faulted_sample
+from repro.simulation.engine import _run_faulted
 from repro.simulation.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.simulation.snapshot import FacilityState, capture, restore
 from repro.workloads.traces import Trace
@@ -110,27 +110,17 @@ class TestRoundTrip:
         controller = dc.controller(FixedUpperBoundStrategy(3.0))
         injector = FaultInjector(plan, dc)
         fork_at = 180  # chiller outage active, UPS failure still pending
+        samples, times, n = trace.samples, trace.times_s(), len(trace)
         try:
-            for i in range(fork_at):
-                _faulted_sample(
-                    controller, injector, float(trace.samples[i]), float(i), i
-                )
+            _run_faulted(controller, injector, samples, times, 0, fork_at)
             state = FacilityState.capture(dc, controller, injector)
-            original = [
-                _faulted_sample(
-                    controller, injector, float(trace.samples[i]), float(i), i
-                )[0]
-                for i in range(fork_at, len(trace.samples))
-            ]
+            _run_faulted(controller, injector, samples, times, fork_at, n)
+            original = controller.history[fork_at:]
             forked_controller = dc.controller(FixedUpperBoundStrategy(3.0))
             forked_controller.strategy.reset()
             state.restore(dc, forked_controller, injector)
-            forked = [
-                _faulted_sample(
-                    forked_controller, injector, float(trace.samples[i]), float(i), i
-                )[0]
-                for i in range(fork_at, len(trace.samples))
-            ]
+            _run_faulted(forked_controller, injector, samples, times, fork_at, n)
+            forked = list(forked_controller.history)
         finally:
             injector.restore_substrate()
         assert_steps_identical(original, forked)
