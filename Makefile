@@ -1,6 +1,6 @@
 # Convenience targets for the Data Center Sprinting reproduction.
 
-.PHONY: install check lint lint-changed test bench bench-check report examples sweep-smoke backends-smoke fault-smoke clean
+.PHONY: install check lint lint-changed test perfbench-selftest bench bench-check report examples sweep-smoke backends-smoke fault-smoke clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -26,6 +26,11 @@ lint-changed:
 
 test:
 	pytest tests/
+
+# Self-tests of the benchmark harness (perfbench/).  It wraps program
+# functions by name, so a rename or deletion of one fails here.
+perfbench-selftest:
+	python3 -m pytest perfbench/tests -q
 
 # Engine throughput first (recording machine-readable numbers into
 # BENCH_engine.json — see docs/PERFORMANCE.md), then the figure suite.

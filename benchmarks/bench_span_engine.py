@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.strategies import GreedyStrategy
-from repro.simulation.batch_facility import BatchFacility
 from repro.simulation.datacenter import build_datacenter
 from repro.simulation.engine import run_simulation
 from repro.workloads.traces import Trace
@@ -101,26 +100,3 @@ def bench_span_yahoo_run(benchmark):
     print(f"yahoo-trace span engine: {sim_per_wall:,.0f} simulated "
           f"seconds per wall-clock second")
     assert sim_per_wall > 50_000
-
-
-def bench_vector_latch_flat_batch(benchmark):
-    """Per-element quiescent latch in the vector kernel, flat batch.
-
-    A constant trace across 8 bound candidates: after the transient every
-    element reaches a fixed point and the latch replays cached add
-    arrays instead of recomputing the physics.
-    """
-    trace = Trace(np.full(2000, 0.5), dt_s=1.0, name="flat-batch")
-    bounds = [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5]
-    facility = BatchFacility()
-
-    def run():
-        return facility.run_fixed_bounds(trace, bounds)
-
-    result = benchmark.pedantic(run, rounds=3, iterations=1)
-    mean_s = benchmark.stats.stats.mean
-    fac_steps = len(trace) * len(bounds) / mean_s
-    benchmark.extra_info["facility_steps_per_wall_second"] = fac_steps
-    assert result.kernel._ff_armed, "flat batch never armed the latch"
-    print(f"vector latch flat batch: {fac_steps:,.0f} facility-steps "
-          f"per wall-clock second")

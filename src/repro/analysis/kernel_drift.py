@@ -650,7 +650,6 @@ class KernelDriftRule(Rule):
                 [
                     ("VectorStepKernel", "__init__"),
                     ("VectorStepKernel", "step"),
-                    ("VectorStepKernel", "_replay_latched"),
                 ],
             ),
             VECTOR_OWN_CLASSES,

@@ -216,11 +216,9 @@ def oracle_search(
     achieve exactly the same performance, the *earliest* candidate in
     ``candidates`` wins — for the conventional ascending grids that is the
     **lowest** winning bound, the least aggressive policy that attains the
-    optimum.  Every Oracle reduction in the code base
-    (:meth:`~repro.simulation.batch.SweepRunner.oracle_search`, the
-    upper-bound-table builder, and the shared-prefix fast path) implements
-    this same first-wins rule, so results are independent of execution
-    order and worker count.
+    optimum.  Every other Oracle reduction in the code base goes through
+    :func:`strict_argmax`, which applies this same first-wins rule, so
+    results are independent of execution order and worker count.
     """
     if not candidates:
         raise ConfigurationError("candidates must be non-empty")
@@ -234,6 +232,21 @@ def oracle_search(
             best_ub = ub
     assert best_ub is not None
     return OracleStrategy(best_ub, achieved_performance=best_perf)
+
+
+def strict_argmax(performances: Sequence[float]) -> Optional[int]:
+    """Index of the best performance under the Oracle's tie-break.
+
+    NaN entries (failed runs) are skipped, the first of equal values wins
+    (``perf > best``), and ``None`` means every entry is NaN.
+    """
+    best: Optional[int] = None
+    for i, perf in enumerate(performances):
+        if perf != perf:  # NaN: this candidate's run failed
+            continue
+        if best is None or perf > performances[best]:
+            best = i
+    return best
 
 
 @dataclass

@@ -1,14 +1,15 @@
 """Vectorized many-facility batch kernel for the sprinting control loop.
 
 :class:`~repro.core.kernel.StepKernel` advances ONE facility per call; the
-Oracle grid search, the upper-bound sweep table, and the MPC rollout
-planner all evaluate MANY candidate upper bounds over the SAME trace, each
-candidate on its own facility copy.  :class:`VectorStepKernel` restates the
-kernel's hoisted affine/quadratic maps (trip-curve clamps, degree<->power
-maps, throughput quadratic, cooling split, UPS geometry) as numpy array
-operations over a batch axis: one :meth:`VectorStepKernel.step` call
-advances an arbitrary batch of fixed-bound facilities in lockstep, with
-per-element failure latching and SoA batch telemetry.
+Oracle grid search and the upper-bound sweep table evaluate MANY candidate
+upper bounds over the SAME trace, each candidate on its own facility copy,
+and the packed sweep tier fuses whole grids of such runs.
+:class:`VectorStepKernel` restates the kernel's hoisted affine/quadratic
+maps (trip-curve clamps, degree<->power maps, throughput quadratic,
+cooling split, UPS geometry) as numpy array operations over a batch axis:
+one :meth:`VectorStepKernel.step` call advances an arbitrary batch of
+fixed-bound facilities in lockstep, with per-element failure latching and
+SoA batch telemetry.
 
 Bit-exactness contract
 ----------------------
@@ -28,9 +29,9 @@ are therefore preserved verbatim rather than simplified.
 
 Divergences from the scalar kernel, each bit-neutral:
 
-* The scalar loop's span compilation and steady-cycle replay are
-  skipped: by their own contract a replayed step is bit-identical to
-  recomputation, so always recomputing cannot drift.
+* The scalar loop's span compilation and steady-cycle replay have no
+  vector counterpart: by their own contract a replayed step is
+  bit-identical to recomputation, so always recomputing cannot drift.
 * The budget *fraction* is not computed per step: with a fixed bound it
   feeds only the strategy observation, which nothing reads.
 * A per-element failure (tank depletion, thermal emergency, breaker trip)
@@ -48,7 +49,7 @@ rating arrays (``chiller_rated_w``, ``battery_capacity_ah``,
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -92,7 +93,7 @@ PHASE_ORDER: Tuple[SprintPhase, ...] = (
     SprintPhase.PHASE3_TES,
 )
 
-#: Telemetry columns recorded under ``record_telemetry=True`` — one float64
+#: Telemetry columns recordable via ``telemetry_fields`` — one float64
 #: ``(n,)`` row per step per field, NaN where the element has failed
 #: (``phase`` uses -1 and ``in_burst`` False).  Mirrors the 18 fields of
 #: :class:`~repro.core.controller.ControlStep`.
@@ -247,8 +248,9 @@ class VectorStepKernel:
     per-element state array from ``ctrl``'s *current* mutable state — so a
     fresh controller seeds a fresh batch, and a controller restored from a
     :class:`~repro.simulation.snapshot.FacilityState` seeds a mid-run
-    batch (the MPC rollout case).  ``bounds[j]`` is element ``j``'s fixed
-    degree upper bound.
+    batch.  ``bounds[j]`` is element ``j``'s fixed degree upper bound;
+    ``telemetry_fields`` names the recorded columns (``None`` records
+    none, :data:`TELEMETRY_FIELDS` all of them).
     """
 
     def __init__(
@@ -258,7 +260,6 @@ class VectorStepKernel:
         cooling: "CoolingPlant",
         ctrl: "SprintingController",
         bounds: np.ndarray,
-        record_telemetry: bool = False,
         telemetry_fields: Optional[Sequence[str]] = None,
     ) -> None:
         bound_arr = np.asarray(bounds, dtype=np.float64)
@@ -453,10 +454,9 @@ class VectorStepKernel:
             n, PHASE_ORDER.index(phases.current_phase), dtype=np.int64
         )
 
-        #: Safety-envelope events provoked *since construction* (the MPC
-        #: rollout scorer consumes this as a delta, so it starts at 0).
+        #: Safety-envelope events provoked *since construction* (a delta
+        #: against the seeded controller's event log, so it starts at 0).
         self.violations = np.zeros(n, dtype=np.int64)
-        self.last_needed_degree = np.full(n, math.nan)
 
         self.failed = np.zeros(n, dtype=bool)
         self.failed_kind = np.full(n, FAIL_NONE, dtype=np.int64)
@@ -464,44 +464,23 @@ class VectorStepKernel:
         self.failed_time_s = np.full(n, math.nan)
         self.steps_done = 0
 
-        # ``telemetry_fields`` restricts recording to a subset of
-        # TELEMETRY_FIELDS (the packed-sweep path only needs two of the
-        # eighteen columns; recording the rest would dominate its step
-        # cost).  Recorded values are unchanged — only which columns are
-        # kept differs.
-        if record_telemetry:
-            if telemetry_fields is None:
-                selected: Tuple[str, ...] = TELEMETRY_FIELDS
-            else:
-                selected = tuple(telemetry_fields)
-                unknown = [
-                    name for name in selected if name not in TELEMETRY_FIELDS
-                ]
-                if unknown:
-                    raise ConfigurationError(
-                        f"unknown telemetry field(s) {unknown!r}; expected "
-                        f"a subset of {list(TELEMETRY_FIELDS)!r}"
-                    )
-            self.telemetry: Optional[Dict[str, List[np.ndarray]]] = {
-                name: [] for name in selected
-            }
-        else:
-            self.telemetry = None
-
-        # --- per-element quiescent latch (vector fast-forward) ---------
-        # Armed when the whole batch sat at a demand-repeating fixed point
-        # for a full step: every per-element state array came out of the
-        # step bit-identical and no alive element is inside a burst (the
-        # only place absolute time enters the arithmetic).  While armed,
-        # identical demand replays the cached step: the same accumulator
-        # add arrays, the same telemetry rows (wall clock aside), the same
-        # served vector.  Tracking is lazy — the signature is only
-        # snapshotted once the demand repeats, so jittered workloads pay
-        # one array compare per step and nothing else.
-        self._ff_armed = False
-        self._ff_cache: Optional[Dict[str, Any]] = None
-        self._ff_sig: Optional[List[np.ndarray]] = None
-        self._ff_last_demand: Optional[np.ndarray] = None
+        # ``telemetry_fields`` selects the recorded subset of
+        # TELEMETRY_FIELDS, ``None`` records nothing (the packed-sweep path
+        # only needs two of the eighteen columns; recording the rest would
+        # dominate its step cost).  Recorded values are unchanged — only
+        # which columns are kept differs.
+        self.telemetry: Optional[Dict[str, List[np.ndarray]]] = None
+        if telemetry_fields is not None:
+            unknown = [
+                name for name in telemetry_fields
+                if name not in TELEMETRY_FIELDS
+            ]
+            if unknown:
+                raise ConfigurationError(
+                    f"unknown telemetry field(s) {unknown!r}; expected "
+                    f"a subset of {list(TELEMETRY_FIELDS)!r}"
+                )
+            self.telemetry = {name: [] for name in telemetry_fields}
 
     # ------------------------------------------------------------------
     # Cluster arithmetic (vector restatement of StepKernel's maps)
@@ -695,97 +674,6 @@ class VectorStepKernel:
             self.failed_time_s = np.where(mask, time_s, self.failed_time_s)
 
     # ------------------------------------------------------------------
-    # Quiescent latch (vector fast-forward)
-    # ------------------------------------------------------------------
-    def clear_fast_forward(self) -> None:
-        """Disarm the quiescent latch and drop its cached step.
-
-        Callers that mutate any per-element state array directly (fault
-        masks derating breakers, external battery writes, ...) must call
-        this first — the latch proves its fixed point from observed
-        step-over-step state and cannot see out-of-band writes.
-        """
-        self._ff_armed = False
-        self._ff_cache = None
-        self._ff_sig = None
-        self._ff_last_demand = None
-
-    def _signature_arrays(self) -> List[np.ndarray]:
-        """Every per-element array the step arithmetic reads.
-
-        Pure accumulators (admission integrals, phase clocks, breaker
-        wall clocks, ``steps_done``) are deliberately absent: they advance
-        every step but feed nothing, and the replay advances them with
-        the same per-step adds the normal step performs.
-        """
-        return [
-            self.battery_energy_j,
-            self.battery_discharged_j,
-            self.battery_cycles,
-            self.tes_energy_j,
-            self.tes_absorbed_j,
-            self.room_temperature_c,
-            self.room_peak_c,
-            self.pdu.trip_fraction,
-            self.pdu.tripped,
-            self.dc.trip_fraction,
-            self.dc.tripped,
-            self.pcm_melted_j,
-            self.pcm_latched,
-            self.in_burst,
-            self._has_burst_start,
-            self.burst_started_s,
-            self._has_below,
-            self.below_since_s,
-            self.burst_was_active,
-            self.budget_snapshot_j,
-            self._has_snapshot,
-            self.emergency_latched,
-            self.failed,
-            self.failed_kind,
-            self.violations,
-        ]
-
-    def _replay_latched(self, time_s: float) -> np.ndarray:
-        """Replay the cached fixed-point step (bit-identical adds)."""
-        cache = self._ff_cache
-        assert cache is not None
-        dt = self._dt
-        self.served_integral = self.served_integral + cache["add_served"]
-        self.dropped_integral = self.dropped_integral + cache["add_dropped"]
-        self.demand_integral = self.demand_integral + cache["add_demand"]
-        tip_adds = cache["tip_adds"]
-        for code in range(len(PHASE_ORDER)):
-            self.time_in_phase_s[code] = (
-                self.time_in_phase_s[code] + tip_adds[code]
-            )
-        self.cb_overload_energy_j = (
-            self.cb_overload_energy_j + cache["add_cb"]
-        )
-        self.ups_energy_j = self.ups_energy_j + cache["add_ups"]
-        self.tes_electric_energy_j = (
-            self.tes_electric_energy_j + cache["add_tes"]
-        )
-        advance = cache["advance"]
-        self.pdu.time_s = np.where(
-            advance, self.pdu.time_s + dt, self.pdu.time_s
-        )
-        self.dc.time_s = np.where(
-            advance, self.dc.time_s + dt, self.dc.time_s
-        )
-        if self.telemetry is not None:
-            ok = cache["ok"]
-            rows = cache["rows"]
-            t = self.telemetry
-            for name in t:
-                if name == "time_s":
-                    t[name].append(np.where(ok, time_s, math.nan))
-                else:
-                    t[name].append(rows[name])
-        self.steps_done += 1
-        return cache["served_out"]
-
-    # ------------------------------------------------------------------
     # The control period
     # ------------------------------------------------------------------
     def step(self, demand: object, time_s: float) -> np.ndarray:
@@ -804,20 +692,6 @@ class VectorStepKernel:
         if not bool(np.all(d >= 0.0)):
             require_non_negative(float(d.min()), "demand")
         require_non_negative(time_s, "time_s")
-
-        # --- quiescent latch: replay or (lazily) track ------------------
-        if self._ff_armed:
-            cache = self._ff_cache
-            assert cache is not None
-            if bool(np.array_equal(d, cache["demand"])):
-                return self._replay_latched(time_s)
-        last_d = self._ff_last_demand
-        ff_track = last_d is not None and bool(np.array_equal(d, last_d))
-        if not ff_track:
-            self._ff_armed = False
-            self._ff_cache = None
-            self._ff_sig = None
-            self._ff_last_demand = d.copy()
 
         dt = self._dt
         n_pdus = self._n_pdus
@@ -869,9 +743,6 @@ class VectorStepKernel:
 
         upper_bound = self._upper
         needed = self._degree_for_capacity_vec(d)
-        self.last_needed_degree = np.where(
-            alive, needed, self.last_needed_degree
-        )
         degree = np.minimum(needed, upper_bound)
         degree = np.where(
             self.emergency_latched, np.minimum(degree, 1.0), degree
@@ -1211,56 +1082,6 @@ class VectorStepKernel:
                 )
             if "pdu_grid_bound_w" in t:
                 t["pdu_grid_bound_w"].append(np.where(ok, pdu_bound, nan))
-
-        # --- quiescent latch: arm on an observed fixed point -----------
-        if ff_track:
-            cur_sig = self._signature_arrays()
-            prev_sig = self._ff_sig
-            if (
-                prev_sig is not None
-                and not bool(np.any(alive & self.in_burst))
-                and all(
-                    np.array_equal(p, c)
-                    for p, c in zip(prev_sig, cur_sig)
-                )
-            ):
-                # This step mapped the batch state to itself under this
-                # demand, and no alive element reads the wall clock (no
-                # bursts), so the next identical-demand step is a bit-
-                # exact repeat.  Cache this step's accumulator adds,
-                # telemetry rows and outputs; arming implies no element
-                # failed this step, so the masks the banks advanced with
-                # all collapsed to the final ``ok``.
-                rows: Dict[str, np.ndarray] = {}
-                if self.telemetry is not None:
-                    for name in self.telemetry:
-                        if name == "time_s":
-                            continue
-                        rows[name] = self.telemetry[name][-1]
-                self._ff_armed = True
-                self._ff_cache = {
-                    "demand": d.copy(),
-                    "add_served": np.where(ok, served * dt, 0.0),
-                    "add_dropped": np.where(ok, dropped * dt, 0.0),
-                    "add_demand": np.where(ok, d * dt, 0.0),
-                    "add_cb": np.where(
-                        ok, np.where(sprinting, cb_overload_w, 0.0) * dt, 0.0
-                    ),
-                    "add_ups": np.where(ok, ups_total * dt, 0.0),
-                    "add_tes": np.where(ok, tes_saved_w * dt, 0.0),
-                    "tip_adds": [
-                        np.where(ok & (phase == code), dt, 0.0)
-                        for code in range(len(PHASE_ORDER))
-                    ],
-                    "advance": ok.copy(),
-                    "ok": ok.copy(),
-                    "rows": rows,
-                    "served_out": served_out,
-                }
-            else:
-                self._ff_sig = [np.copy(a) for a in cur_sig]
-                self._ff_armed = False
-                self._ff_cache = None
 
         self.steps_done += 1
         return served_out

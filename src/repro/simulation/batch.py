@@ -59,6 +59,7 @@ from repro.core.strategies import (
     PredictionStrategy,
     SprintingStrategy,
     UpperBoundTable,
+    strict_argmax,
 )
 from repro.errors import ConfigurationError, ReproError, SimulationError
 from repro.simulation.batch_facility import vector_oracle_search
@@ -636,53 +637,66 @@ def execute_task(task: SweepTask) -> TaskResult:
 # every backend.
 
 
+def _oracle_tiers(
+    trace: Trace,
+    candidates: Sequence[float],
+    config: DataCenterConfig,
+    fault_plan: Optional[FaultPlan],
+    reference: Callable[[], Sequence[float]],
+) -> Optional[Tuple[float, float]]:
+    """The Oracle search's tier order, one place for every caller.
+
+    Shared-prefix first (it fast-forwards the quiescent prefix), then the
+    vector batch when there is no fault plan (fault injection mutates the
+    scalar substrate mid-run), then ``reference()``: the caller's
+    per-candidate runs, one performance per candidate, NaN for a failed
+    run.  Every tier is bit-identical to the per-candidate strict argmax.
+
+    Returns ``(best_bound, best_performance)``, or ``None`` when every
+    candidate's run failed (the caller owns the error message).
+    """
+    try:
+        fast = shared_prefix_oracle_search(
+            trace, candidates, config, fault_plan=fault_plan
+        )
+        if fast is None and fault_plan is None:
+            fast = vector_oracle_search(trace, candidates, config)
+    except SimulationError:
+        return None  # both fast tiers raise it when every candidate fails
+    if fast is not None:
+        return fast
+    performances = reference()
+    best = strict_argmax(performances)
+    if best is None:
+        return None
+    return float(candidates[best]), performances[best]
+
+
 def _oracle_point_search(
     trace: Trace,
     candidates: Sequence[float],
     config: DataCenterConfig,
 ) -> Optional[Tuple[float, float]]:
-    """One grid point's Oracle search: fast paths first, reference fallback.
-
-    Resolution order is shared-prefix -> vector batch -> per-candidate
-    reference: the shared-prefix path wins on quiescent traces with small
-    grids (it fast-forwards the prefix), the vector batch wins everywhere
-    the shared-prefix envelope rejects, and both are bit-identical to the
-    reference sweep.
+    """One grid point's Oracle search (:func:`_oracle_tiers`).
 
     Returns ``(best_bound, best_performance)``, or ``None`` when every
-    candidate's run failed (the caller owns the error message — the table
-    builder and the direct search report the failure differently).  The
-    fallback runs the per-candidate reference sweep through
-    :func:`execute_task`, so its failure semantics (and any test doubles
-    installed over ``execute_task``) apply to both paths identically.
+    candidate's run failed.  The reference tier runs each candidate
+    through :func:`execute_task`, so its failure semantics (and any test
+    doubles installed over ``execute_task``) apply on every backend.
     """
-    try:
-        fast = shared_prefix_oracle_search(trace, candidates, config)
-        if fast is None:
-            # Outside the shared-prefix envelope (sub-1.0 candidates, a
-            # coast-unsafe config) the vector batch kernel still replaces
-            # the per-candidate reference loop with one lockstep run.
-            fast = vector_oracle_search(trace, candidates, config)
-    except SimulationError:
-        return None
-    if fast is not None:
-        return fast
-    performances = [
-        math.nan if outcome.failed else outcome.average_performance
-        for outcome in (
-            execute_task(SweepTask(trace, StrategySpec.fixed(bound), config))
-            for bound in candidates
-        )
-    ]
-    best_idx: Optional[int] = None
-    for i, perf in enumerate(performances):
-        if perf != perf:  # NaN: this candidate's run failed
-            continue
-        if best_idx is None or perf > performances[best_idx]:
-            best_idx = i
-    if best_idx is None:
-        return None
-    return float(candidates[best_idx]), performances[best_idx]
+
+    def reference() -> List[float]:
+        return [
+            math.nan if outcome.failed else outcome.average_performance
+            for outcome in (
+                execute_task(
+                    SweepTask(trace, StrategySpec.fixed(bound), config)
+                )
+                for bound in candidates
+            )
+        ]
+
+    return _oracle_tiers(trace, candidates, config, None, reference)
 
 
 # ---------------------------------------------------------------------------
@@ -950,14 +964,10 @@ class SweepRunner:
         like the serial :func:`repro.core.strategies.oracle_search` — so
         the result is independent of worker count and of the compute path.
 
-        The search runs on the shared-prefix fast path
-        (:func:`repro.simulation.engine.shared_prefix_oracle_search`) when
-        the trace/config is inside its validity envelope, then on the
-        vector batch kernel
-        (:func:`repro.simulation.batch_facility.vector_oracle_search`) for
-        no-fault searches outside it, falling back to the reference
-        per-candidate sweep otherwise; all paths produce bit-identical
-        results.  With a cache directory, the whole search
+        The search runs through the Oracle tiers (:func:`_oracle_tiers`:
+        shared-prefix, then the vector batch for no-fault searches, then
+        :meth:`evaluate_upper_bounds` per candidate); all paths produce
+        bit-identical results.  With a cache directory, the whole search
         caches as *one* entry (a warm search is one file read, one hit),
         rather than one entry per candidate.
         """
@@ -969,36 +979,27 @@ class SweepRunner:
         if cached is not None:
             self.hits += 1
             return OracleStrategy(cached[0], achieved_performance=cached[1])
-        fast = shared_prefix_oracle_search(
-            trace, candidates, config, fault_plan=fault_plan
+        lookups = self.hits + self.misses
+        found = _oracle_tiers(
+            trace,
+            candidates,
+            config,
+            fault_plan,
+            lambda: self.evaluate_upper_bounds(
+                trace, candidates, config, fault_plan
+            ),
         )
-        if fast is None and fault_plan is None:
-            # Vector batch tier: one lockstep run over the whole candidate
-            # grid (raises SimulationError when every candidate fails,
-            # exactly like the reference argmax below).
-            fast = vector_oracle_search(trace, candidates, config)
-        if fast is not None:
-            self.misses += 1
-            self._search_cache_store(key, fast[0], fast[1])
-            return OracleStrategy(fast[0], achieved_performance=fast[1])
-        performances = self.evaluate_upper_bounds(
-            trace, candidates, config, fault_plan
-        )
-        best_idx: Optional[int] = None
-        for i, perf in enumerate(performances):
-            if perf != perf:  # NaN: this candidate's run failed
-                continue
-            if best_idx is None or perf > performances[best_idx]:
-                best_idx = i
-        if best_idx is None:
+        if found is None:
             raise SimulationError(
                 "oracle search failed: every candidate upper bound's run "
                 f"failed on trace {trace.name!r}"
             )
-        bound = float(candidates[best_idx])
-        performance = performances[best_idx]
-        self._search_cache_store(key, bound, performance)
-        return OracleStrategy(bound, achieved_performance=performance)
+        if self.hits + self.misses == lookups:
+            # A fast tier answered without per-candidate cache lookups:
+            # the whole search is one miss.
+            self.misses += 1
+        self._search_cache_store(key, found[0], found[1])
+        return OracleStrategy(found[0], achieved_performance=found[1])
 
     def build_upper_bound_table(
         self,

@@ -14,9 +14,9 @@ performances, the same strict first-wins tie-break, the same exclusion of
 failed candidates, and the same :class:`~repro.errors.SimulationError`
 when every candidate fails.
 
-:func:`vector_oracle_search` is the engine-facing entry point.  It sits in
-front of the shared-prefix fast path in the Oracle resolution order
-(vector -> shared-prefix -> per-candidate reference); its validity
+:func:`vector_oracle_search` is the engine-facing entry point.  It is the
+middle tier of the Oracle resolution order (shared-prefix -> vector ->
+per-candidate reference, see :mod:`repro.simulation.batch`); its validity
 envelope is wider than the shared-prefix one (no coast-safety or
 candidate >= 1.0 requirements) because the batch advances every candidate
 with real physics — nothing is fast-forwarded.
@@ -31,7 +31,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.strategies import FixedUpperBoundStrategy
+from repro.core.strategies import FixedUpperBoundStrategy, strict_argmax
 from repro.core.vector_kernel import VectorStepKernel
 from repro.errors import ConfigurationError, SimulationError
 from repro.simulation.config import DEFAULT_CONFIG, DataCenterConfig
@@ -74,9 +74,13 @@ class BatchFacility:
         self,
         trace: Trace,
         bounds: Sequence[float],
-        record_telemetry: bool = False,
+        telemetry_fields: Optional[Sequence[str]] = None,
     ) -> BatchRunResult:
-        """Run every bound over ``trace`` in one vectorized lockstep pass."""
+        """Run every bound over ``trace`` in one vectorized lockstep pass.
+
+        ``telemetry_fields`` selects the kernel's recorded columns
+        (``None`` records none, ``TELEMETRY_FIELDS`` all of them).
+        """
         if abs(trace.dt_s - self.config.dt_s) > 1e-9:
             raise ConfigurationError(
                 f"trace sampling period ({trace.dt_s:g} s) does not match "
@@ -93,7 +97,7 @@ class BatchFacility:
             datacenter.cooling,
             controller,
             np.asarray(bounds, dtype=np.float64),
-            record_telemetry=record_telemetry,
+            telemetry_fields=telemetry_fields,
         )
         dt = trace.dt_s
         served = np.empty((len(trace), kernel.n), dtype=np.float64)
@@ -165,42 +169,12 @@ class BatchFacility:
             datacenter.cooling,
             controller,
             bound_arr,
-            record_telemetry=telemetry_fields is not None,
             telemetry_fields=telemetry_fields,
         )
         served = np.empty_like(demand_matrix)
         for i in range(demand_matrix.shape[0]):
             served[i] = kernel.step(demand_matrix[i], i * dt_s)
         return served, kernel
-
-    def oracle_search(
-        self, trace: Trace, candidates: Sequence[float]
-    ) -> Tuple[float, float]:
-        """Strict first-wins argmax over the candidate batch.
-
-        Raises :class:`~repro.errors.SimulationError` with the reference
-        search's message when every candidate fails.
-        """
-        if not candidates:
-            raise ConfigurationError("candidates must be non-empty")
-        result = self.run_fixed_bounds(trace, [float(c) for c in candidates])
-        best_idx: Optional[int] = None
-        for i in range(len(candidates)):
-            perf = float(result.performances[i])
-            if perf != perf:  # NaN: this candidate's run failed
-                continue
-            if best_idx is None or perf > float(
-                result.performances[best_idx]
-            ):
-                best_idx = i
-        if best_idx is None:
-            raise SimulationError(
-                "oracle search failed: every candidate upper bound's run "
-                f"failed on trace {trace.name!r}"
-            )
-        return float(candidates[best_idx]), float(
-            result.performances[best_idx]
-        )
 
 
 #: Per-process BatchFacility cache, mirroring the worker facility cache in
@@ -237,4 +211,13 @@ def vector_oracle_search(
         return None
     if abs(trace.dt_s - config.dt_s) > 1e-9:
         return None  # reference path raises the descriptive ConfigurationError
-    return _batch_facility_for(config).oracle_search(trace, candidates)
+    result = _batch_facility_for(config).run_fixed_bounds(
+        trace, [float(c) for c in candidates]
+    )
+    best = strict_argmax(result.performances.tolist())
+    if best is None:
+        raise SimulationError(
+            "oracle search failed: every candidate upper bound's run "
+            f"failed on trace {trace.name!r}"
+        )
+    return float(candidates[best]), float(result.performances[best])

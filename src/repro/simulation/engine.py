@@ -19,6 +19,7 @@ from repro.core.strategies import (
     OracleStrategy,
     SprintingStrategy,
     UpperBoundTable,
+    strict_argmax,
 )
 from repro.errors import ConfigurationError, ReproError, SimulationError
 from repro.simulation.config import DataCenterConfig, DEFAULT_CONFIG
@@ -75,6 +76,34 @@ def run_simulation(
     Without a plan the historical behaviour is preserved bit-for-bit
     (including the exceptions).
     """
+
+    def drive(
+        controller: "SprintingController",
+    ) -> "Tuple[Optional[float], List[FaultRecord]]":
+        if fault_plan is None:
+            # The whole trace is one window of the span-compiled loop.
+            controller.run_window(trace.samples, trace.times_s(), 0)
+            return None, []
+        return _run_with_faults(datacenter, controller, trace, fault_plan)
+
+    return drive_run(datacenter, trace, strategy, drive, use_kernel=use_kernel)
+
+
+def drive_run(
+    datacenter: DataCenter,
+    trace: Trace,
+    strategy: SprintingStrategy,
+    drive: "Callable[[SprintingController], Tuple[Optional[float], List[FaultRecord]]]",
+    use_kernel: bool = True,
+) -> SimulationResult:
+    """One run's set-up and result assembly around a caller's stepping.
+
+    Resets ``datacenter``, builds a fresh controller for ``strategy``,
+    checks the trace's sampling period against the controller step,
+    resets the strategy and binds the MPC rollout planner; then
+    ``drive(controller)`` steps the whole trace and returns
+    ``(aborted_at_s, fault_events)`` for the result.
+    """
     datacenter.reset()
     controller = datacenter.controller(strategy, use_kernel=use_kernel)
     if abs(trace.dt_s - controller.settings.dt_s) > 1e-9:
@@ -87,16 +116,7 @@ def run_simulation(
     # MPC strategies plan by forking this very facility: attach the rollout
     # planner to the live (datacenter, controller) pair.  No-op otherwise.
     bind_rollout_planner(strategy, datacenter, controller, trace)
-
-    fault_events: list = []
-    aborted_at_s: Optional[float] = None
-    if fault_plan is None:
-        # The whole trace is one window of the span-compiled loop.
-        controller.run_window(trace.samples, trace.times_s(), 0)
-    else:
-        aborted_at_s, fault_events = _run_with_faults(
-            datacenter, controller, trace, fault_plan
-        )
+    aborted_at_s, fault_events = drive(controller)
     return SimulationResult(
         trace=trace,
         strategy_name=strategy.name,
@@ -566,12 +586,7 @@ def _shared_prefix_no_faults(
     # candidate demoted to failed if it raises — exactly the reference
     # path's NaN for that candidate.
     while True:
-        best_idx: Optional[int] = None
-        for idx, perf in enumerate(performances):
-            if perf != perf:  # NaN: candidate failed
-                continue
-            if best_idx is None or perf > performances[best_idx]:
-                best_idx = idx
+        best_idx = strict_argmax(performances)
         if best_idx is None:
             raise SimulationError(
                 "oracle search failed: every candidate upper bound's run "
@@ -667,8 +682,6 @@ def _shared_prefix_with_faults(
         served[frontier : last + 1] = controller.history.column("served")
         performances[idx] = average_performance_improvement(served, trace)
 
-    best_idx = 0
-    for idx, perf in enumerate(performances):
-        if perf > performances[best_idx]:
-            best_idx = idx
+    best_idx = strict_argmax(performances)
+    assert best_idx is not None  # faulted candidates degrade, never fail
     return float(candidates[best_idx]), performances[best_idx]

@@ -45,6 +45,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.strategies import strict_argmax
 from repro.simulation.batch_facility import _batch_facility_for
 from repro.simulation.config import DataCenterConfig
 from repro.simulation.metrics import average_performance_improvement
@@ -280,18 +281,15 @@ def packed_point_searches(
         )
         for slot, p in enumerate(point_indices):
             lo = slot * n_cand
-            trace = point_traces[p]
-            best_idx: Optional[int] = None
-            best_perf = math.nan
-            for c in range(n_cand):
-                if bool(kernel.failed[lo + c]):
-                    continue
-                perf = average_performance_improvement(
-                    served[:, lo + c], trace
+            performances = [
+                math.nan
+                if bool(kernel.failed[lo + c])
+                else average_performance_improvement(
+                    served[:, lo + c], point_traces[p]
                 )
-                if best_idx is None or perf > best_perf:
-                    best_idx = c
-                    best_perf = perf
-            if best_idx is not None:
-                results[p] = (float(candidates[best_idx]), best_perf)
+                for c in range(n_cand)
+            ]
+            best = strict_argmax(performances)
+            if best is not None:
+                results[p] = (float(candidates[best]), performances[best])
     return results

@@ -14,7 +14,7 @@ it when the feed is healthy again.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
@@ -22,10 +22,14 @@ from repro.core.strategies import GreedyStrategy, SprintingStrategy
 from repro.power.utility import UtilityEvent, UtilityFeed
 from repro.simulation.config import DataCenterConfig, DEFAULT_CONFIG
 from repro.simulation.datacenter import build_datacenter
+from repro.simulation.engine import drive_run
 from repro.simulation.metrics import SimulationResult
-from repro.simulation.rollout import bind_rollout_planner
 from repro.workloads.ms_trace import default_ms_trace
 from repro.workloads.traces import Trace
+
+if TYPE_CHECKING:
+    from repro.core.controller import SprintingController
+    from repro.simulation.faults import FaultRecord
 
 
 def run_with_utility_events(
@@ -41,57 +45,43 @@ def run_with_utility_events(
     end sprinting first, diagnose later.
     """
     datacenter = build_datacenter(config)
-    datacenter.reset()
-    controller = datacenter.controller(strategy or GreedyStrategy())
-    if abs(trace.dt_s - controller.settings.dt_s) > 1e-9:
-        from repro.errors import ConfigurationError
-
-        raise ConfigurationError(
-            f"trace sampling period ({trace.dt_s:g} s) does not match the "
-            f"controller step ({controller.settings.dt_s:g} s)"
-        )
-    controller.strategy.reset()
-    bind_rollout_planner(controller.strategy, datacenter, controller, trace)
     feed = UtilityFeed(
         nominal_capacity_w=datacenter.topology.dc_breaker.rated_power_w,
         events=list(events),
     )
 
-    # Feed health only changes at event edges: the trace runs as one
-    # window per stretch between edges, and the emergency is declared or
-    # cleared between windows.
-    times = trace.times_s()
-    edges = {0, len(trace)}
-    for event in feed.events:
-        edges.update(
-            np.searchsorted(times, (event.start_s, event.end_s)).tolist()
-        )
-    cuts = sorted(edges)
-    emergency_active = False
-    for start, stop in zip(cuts, cuts[1:]):
-        time_s = float(times[start])
-        healthy = feed.is_healthy(time_s)
-        if not healthy and not emergency_active:
-            event = feed.event_at(time_s)
-            controller.safety.declare_emergency(
-                time_s, f"utility {event.kind.value}"
+    def drive(
+        controller: "SprintingController",
+    ) -> "Tuple[None, List[FaultRecord]]":
+        # Feed health only changes at event edges: the trace runs as one
+        # window per stretch between edges, and the emergency is declared
+        # or cleared between windows.
+        times = trace.times_s()
+        edges = {0, len(trace)}
+        for event in feed.events:
+            edges.update(
+                np.searchsorted(times, (event.start_s, event.end_s)).tolist()
             )
-            emergency_active = True
-        elif healthy and emergency_active:
-            controller.safety.clear_emergency()
-            emergency_active = False
-        controller.run_window(trace.samples[start:stop], times[start:stop], start)
+        cuts = sorted(edges)
+        emergency_active = False
+        for start, stop in zip(cuts, cuts[1:]):
+            time_s = float(times[start])
+            healthy = feed.is_healthy(time_s)
+            if not healthy and not emergency_active:
+                event = feed.event_at(time_s)
+                controller.safety.declare_emergency(
+                    time_s, f"utility {event.kind.value}"
+                )
+                emergency_active = True
+            elif healthy and emergency_active:
+                controller.safety.clear_emergency()
+                emergency_active = False
+            controller.run_window(
+                trace.samples[start:stop], times[start:stop], start
+            )
+        return None, []
 
-    return SimulationResult(
-        trace=trace,
-        strategy_name=controller.strategy.name,
-        steps=controller.history.snapshot(),
-        energy_shares=controller.phases.energy_shares(),
-        time_in_phase_s=dict(controller.phases.time_in_phase_s),
-        dropped_integral=controller.admission.dropped_integral,
-        served_integral=controller.admission.served_integral,
-        demand_integral=controller.admission.demand_integral,
-    )
+    return drive_run(datacenter, trace, strategy or GreedyStrategy(), drive)
 
 
 def spike_during_sprint_scenario(

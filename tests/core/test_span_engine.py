@@ -20,9 +20,7 @@ degrades the run mid-window.  It also pins:
 * MPC rollout windows on a non-integer ``dt_s`` (the rollout's own
   ``start + j * dt`` timestamps) and kernel-vs-reference rollout scores;
 * an explicit k>1 steady cycle (PCM melt/refreeze oscillation) actually
-  replaying through :meth:`~repro.core.steplog.StepLog.extend_cycle`;
-* the vector kernel's per-element quiescent latch arming, replaying
-  bit-identically, and disarming on demand changes and external writes.
+  replaying through :meth:`~repro.core.steplog.StepLog.extend_cycle`.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ from repro.core.strategies import (
     SprintingStrategy,
 )
 from repro.power.utility import UtilityEvent, UtilityEventKind, UtilityFeed
-from repro.simulation.batch_facility import BatchFacility
 from repro.simulation.config import DataCenterConfig
 from repro.simulation.datacenter import DataCenter, build_datacenter
 from repro.simulation.engine import run_simulation
@@ -630,143 +627,3 @@ class TestRolloutWindows:
             run("reference")
         assert len(recorded["kernel"]) > 0
         assert recorded["kernel"] == recorded["reference"]
-
-
-class TestVectorLatch:
-    BOUNDS = (1.0, 1.8, 2.6, 3.4)
-
-    def _flat_trace(self, n=400, level=0.5):
-        return Trace(np.full(n, level), dt_s=1.0, name="flat")
-
-    def _run_unlatched(self, facility, trace, **kwargs):
-        """Reference batch run with the latch tracking suppressed."""
-        from repro.core.vector_kernel import VectorStepKernel
-
-        original = VectorStepKernel.step
-
-        def no_latch(self, demand, time_s):
-            self._ff_last_demand = None
-            self._ff_armed = False
-            self._ff_cache = None
-            self._ff_sig = None
-            return original(self, demand, time_s)
-
-        VectorStepKernel.step = no_latch
-        try:
-            return facility.run_fixed_bounds(trace, list(self.BOUNDS),
-                                             **kwargs)
-        finally:
-            VectorStepKernel.step = original
-
-    def test_arms_and_replays_bit_identically(self):
-        trace = self._flat_trace()
-        latched = BatchFacility(SMALL).run_fixed_bounds(
-            trace, list(self.BOUNDS), record_telemetry=True
-        )
-        plain = self._run_unlatched(
-            BatchFacility(SMALL), trace, record_telemetry=True
-        )
-        k1, k2 = latched.kernel, plain.kernel
-        assert k1._ff_armed, "constant demand never armed the latch"
-        assert np.array_equal(latched.served, plain.served)
-        assert np.array_equal(k1.served_integral, k2.served_integral)
-        assert np.array_equal(k1.dropped_integral, k2.dropped_integral)
-        assert np.array_equal(k1.demand_integral, k2.demand_integral)
-        assert np.array_equal(
-            k1.cb_overload_energy_j, k2.cb_overload_energy_j
-        )
-        assert np.array_equal(k1.ups_energy_j, k2.ups_energy_j)
-        assert np.array_equal(
-            k1.tes_electric_energy_j, k2.tes_electric_energy_j
-        )
-        for code in range(4):
-            assert np.array_equal(
-                k1.time_in_phase_s[code], k2.time_in_phase_s[code]
-            )
-        assert np.array_equal(k1.pdu.time_s, k2.pdu.time_s)
-        assert np.array_equal(k1.dc.time_s, k2.dc.time_s)
-        assert k1.telemetry is not None and k2.telemetry is not None
-        for name in k1.telemetry:
-            assert np.array_equal(
-                np.vstack(k1.telemetry[name]),
-                np.vstack(k2.telemetry[name]),
-                equal_nan=True,
-            ), name
-
-    def test_step_trace_bit_identity(self):
-        """A burst-and-plateau trace: latch on plateaus, disarm on edges."""
-        samples = np.concatenate(
-            [np.full(150, 0.5), np.full(100, 1.6), np.full(150, 0.5)]
-        )
-        trace = Trace(samples, dt_s=1.0, name="plateaus")
-        latched = BatchFacility(SMALL).run_fixed_bounds(
-            trace, list(self.BOUNDS), record_telemetry=True
-        )
-        plain = self._run_unlatched(
-            BatchFacility(SMALL), trace, record_telemetry=True
-        )
-        assert np.array_equal(latched.served, plain.served)
-        k1, k2 = latched.kernel, plain.kernel
-        assert k1.telemetry is not None and k2.telemetry is not None
-        for name in k1.telemetry:
-            assert np.array_equal(
-                np.vstack(k1.telemetry[name]),
-                np.vstack(k2.telemetry[name]),
-                equal_nan=True,
-            ), name
-
-    def test_demand_change_disarms(self):
-        from repro.simulation.datacenter import build_datacenter as build
-
-        dc = build(SMALL)
-        ctrl = dc.controller(FixedUpperBoundStrategy(1.0))
-        from repro.core.vector_kernel import VectorStepKernel
-
-        kernel = VectorStepKernel(
-            dc.cluster, dc.topology, dc.cooling, ctrl,
-            np.asarray(self.BOUNDS),
-        )
-        for i in range(10):
-            kernel.step(0.5, float(i))
-        assert kernel._ff_armed
-        kernel.step(0.9, 10.0)
-        assert not kernel._ff_armed
-
-    def test_clear_fast_forward_after_external_write(self):
-        """External derates must be preceded by clear_fast_forward."""
-        from repro.core.vector_kernel import VectorStepKernel
-        from repro.simulation.datacenter import build_datacenter as build
-
-        def make_kernel():
-            dc = build(SMALL)
-            ctrl = dc.controller(FixedUpperBoundStrategy(1.0))
-            return VectorStepKernel(
-                dc.cluster, dc.topology, dc.cooling, ctrl,
-                np.asarray(self.BOUNDS),
-            )
-
-        mutated = make_kernel()
-        for i in range(10):
-            mutated.step(0.5, float(i))
-        assert mutated._ff_armed
-        mutated.battery_energy_j = mutated.battery_energy_j * 0.5
-        mutated.clear_fast_forward()
-        assert not mutated._ff_armed
-        out_mutated = [
-            mutated.step(0.5, float(10 + i)) for i in range(5)
-        ]
-
-        fresh = make_kernel()
-        for i in range(10):
-            fresh.step(0.5, float(i))
-        fresh._ff_armed = False
-        fresh._ff_cache = None
-        fresh._ff_sig = None
-        fresh._ff_last_demand = None
-        fresh.battery_energy_j = fresh.battery_energy_j * 0.5
-        out_fresh = [fresh.step(0.5, float(10 + i)) for i in range(5)]
-        for a, b in zip(out_mutated, out_fresh):
-            assert np.array_equal(a, b)
-        assert np.array_equal(
-            mutated.battery_energy_j, fresh.battery_energy_j
-        )

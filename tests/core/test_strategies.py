@@ -16,6 +16,7 @@ from repro.core.strategies import (
     StrategyObservation,
     UpperBoundTable,
     oracle_search,
+    strict_argmax,
 )
 
 
@@ -95,6 +96,18 @@ class TestFixedAndOracle:
         descending = oracle_search(plateau.__getitem__, [4.0, 3.0, 2.0])
         assert ascending.upper_bound == 2.0
         assert descending.upper_bound == 3.0
+
+    def test_strict_argmax_skips_nan(self):
+        """NaN marks a failed run: never the winner, even when first."""
+        assert strict_argmax([math.nan, 1.2, 1.9, math.nan, 1.5]) == 2
+
+    def test_strict_argmax_first_of_equals_wins(self):
+        assert strict_argmax([1.4, 1.8, 1.8, 1.8]) == 1
+        assert strict_argmax([math.nan, 1.8, 1.8]) == 1
+
+    def test_strict_argmax_all_nan_is_none(self):
+        assert strict_argmax([math.nan, math.nan]) is None
+        assert strict_argmax([]) is None
 
 
 class TestUpperBoundTable:

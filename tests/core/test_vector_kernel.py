@@ -36,6 +36,7 @@ from repro.errors import (
     TankDepletedError,
     ThermalEmergencyError,
 )
+from repro.simulation import batch_facility
 from repro.simulation.batch_facility import (
     BatchFacility,
     vector_oracle_search,
@@ -100,7 +101,7 @@ class ScalarRun:
 
 
 def vector_run(
-    datacenter, samples, dt, bounds, mutate=None, record_telemetry=False
+    datacenter, samples, dt, bounds, mutate=None, telemetry_fields=None
 ):
     """One batch run over ``samples``; per-element demand via a matrix."""
     datacenter.reset()
@@ -112,7 +113,7 @@ def vector_run(
         datacenter.cooling,
         controller,
         np.asarray(bounds, dtype=np.float64),
-        record_telemetry=record_telemetry,
+        telemetry_fields=telemetry_fields,
     )
     served = np.zeros((len(samples), kernel.n))
     for i, demand in enumerate(samples):
@@ -143,6 +144,30 @@ def assert_element_matches(kernel, served_col, j, scalar: ScalarRun):
         assert kernel.failed_step[j] == scalar.fail_step
         assert np.all(served_col[scalar.fail_step:] == 0.0)
     assert int(kernel.violations[j]) == scalar.violations
+
+
+def assert_telemetry_matches(kernel, j, scalar: ScalarRun):
+    """Element ``j``'s telemetry columns equal the scalar ControlSteps."""
+    assert kernel.telemetry is not None
+    assert set(kernel.telemetry) == set(TELEMETRY_FIELDS)
+    for name in TELEMETRY_FIELDS:
+        column = np.array([row[j] for row in kernel.telemetry[name]])
+        if name == "phase":
+            expected = np.array(
+                [
+                    float(PHASE_ORDER.index(step.phase))
+                    for step in scalar.history
+                ]
+            )
+        elif name == "in_burst":
+            expected = np.array(
+                [float(step.in_burst) for step in scalar.history]
+            )
+        else:
+            expected = np.array(
+                [getattr(step, name) for step in scalar.history]
+            )
+        assert np.array_equal(column, expected), name
 
 
 class TestVectorMatchesScalar:
@@ -187,33 +212,49 @@ class TestVectorMatchesScalar:
         dt = trace.dt_s
         datacenter = build_datacenter(SMALL)
         served, kernel = vector_run(
-            datacenter, trace.samples, dt, BOUNDS, record_telemetry=True
+            datacenter, trace.samples, dt, BOUNDS,
+            telemetry_fields=TELEMETRY_FIELDS,
         )
-        assert kernel.telemetry is not None
-        assert set(kernel.telemetry) == set(TELEMETRY_FIELDS)
         for j, bound in enumerate(BOUNDS):
             scalar = ScalarRun(datacenter, trace.samples, dt, bound)
             assert scalar.fail_step < 0
-            for name in TELEMETRY_FIELDS:
-                column = np.array(
-                    [row[j] for row in kernel.telemetry[name]]
-                )
-                if name == "phase":
-                    expected = np.array(
-                        [
-                            float(PHASE_ORDER.index(step.phase))
-                            for step in scalar.history
-                        ]
-                    )
-                elif name == "in_burst":
-                    expected = np.array(
-                        [float(step.in_burst) for step in scalar.history]
-                    )
-                else:
-                    expected = np.array(
-                        [getattr(step, name) for step in scalar.history]
-                    )
-                assert np.array_equal(column, expected), name
+            assert_telemetry_matches(kernel, j, scalar)
+
+    def test_constant_demand_plateaus(self):
+        """Long constant-demand stretches (idle, a burst plateau, idle)
+        step bit-identically, telemetry included."""
+        samples = np.concatenate(
+            [np.full(150, 0.5), np.full(100, 1.6), np.full(150, 0.5)]
+        )
+        bounds = (1.0, 1.8, 2.6, 3.4)
+        datacenter = build_datacenter(SMALL)
+        served, kernel = vector_run(
+            datacenter, samples, 1.0, bounds,
+            telemetry_fields=TELEMETRY_FIELDS,
+        )
+        for j, bound in enumerate(bounds):
+            scalar = ScalarRun(datacenter, samples, 1.0, bound)
+            assert scalar.fail_step < 0
+            assert_element_matches(kernel, served[:, j], j, scalar)
+            assert_telemetry_matches(kernel, j, scalar)
+
+    def test_telemetry_subset_and_unknown_field(self):
+        trace = random_trace(3, n=50)
+        datacenter = build_datacenter(SMALL)
+        _, off = vector_run(datacenter, trace.samples, 1.0, BOUNDS)
+        assert off.telemetry is None
+        _, subset = vector_run(
+            datacenter, trace.samples, 1.0, BOUNDS,
+            telemetry_fields=("served", "phase"),
+        )
+        assert subset.telemetry is not None
+        assert list(subset.telemetry) == ["served", "phase"]
+        assert len(subset.telemetry["served"]) == len(trace)
+        with pytest.raises(ConfigurationError, match="unknown telemetry"):
+            vector_run(
+                datacenter, trace.samples, 1.0, BOUNDS,
+                telemetry_fields=("served", "no_such_column"),
+            )
 
     def test_negative_demand_rejected(self):
         datacenter = build_datacenter(SMALL)
@@ -354,7 +395,7 @@ class TestOracleEquivalence:
     def test_matches_reference_search(self, seed):
         trace = random_trace(seed)
         expected = self._reference_search(trace, self.CANDIDATES)
-        got = BatchFacility(SMALL).oracle_search(trace, self.CANDIDATES)
+        got = vector_oracle_search(trace, self.CANDIDATES, SMALL)
         assert got == expected
 
     def test_sub_one_candidates_match_reference(self):
@@ -362,10 +403,8 @@ class TestOracleEquivalence:
         trace = random_trace(5)
         candidates = (0.8, 1.5, 2.5, 3.5, 4.0)
         expected = self._reference_search(trace, candidates)
-        got = BatchFacility(SMALL).oracle_search(trace, candidates)
+        got = vector_oracle_search(trace, candidates, SMALL)
         assert got == expected
-        fast = vector_oracle_search(trace, candidates, SMALL)
-        assert fast == expected
 
     def test_dt_mismatch_outside_envelope(self):
         trace = random_trace(1, dt_s=2.0)
@@ -376,22 +415,19 @@ class TestOracleEquivalence:
     def test_empty_candidates(self):
         trace = random_trace(1)
         assert vector_oracle_search(trace, (), SMALL) is None
-        with pytest.raises(ConfigurationError):
-            BatchFacility(SMALL).oracle_search(trace, ())
 
-    def test_all_failed_raises_simulation_error(self):
+    def test_all_failed_raises_simulation_error(self, monkeypatch):
         trace = random_trace(6)
         facility = BatchFacility(SMALL)
         # Cripple the DC breaker on every element right away: every
         # candidate's run fails, the reference argmax contract.
-        datacenter = facility.datacenter
-        original = datacenter.topology.dc_breaker.rated_power_w
-        datacenter.topology.dc_breaker.rated_power_w = original * 1e-6
-        try:
-            with pytest.raises(SimulationError):
-                facility.oracle_search(trace, self.CANDIDATES)
-        finally:
-            datacenter.topology.dc_breaker.rated_power_w = original
+        breaker = facility.datacenter.topology.dc_breaker
+        breaker.rated_power_w *= 1e-6
+        monkeypatch.setattr(
+            batch_facility, "_batch_facility_for", lambda config: facility
+        )
+        with pytest.raises(SimulationError, match="every candidate"):
+            vector_oracle_search(trace, self.CANDIDATES, SMALL)
 
 
 class TestMPCRolloutVector:

@@ -18,9 +18,11 @@ import math
 import numpy as np
 import pytest
 
+from repro.core.strategies import FixedUpperBoundStrategy, strict_argmax
 from repro.errors import (
     BreakerTrippedError,
     ConfigurationError,
+    ReproError,
     SimulationError,
 )
 from repro.simulation.batch import (
@@ -33,7 +35,7 @@ from repro.simulation.batch import (
     config_fields,
     execute_task,
 )
-from repro.simulation.faults import FaultPlan
+from repro.simulation.faults import FaultEvent, FaultPlan
 from repro.simulation.config import DataCenterConfig
 from repro.simulation.engine import (
     build_upper_bound_table,
@@ -624,3 +626,114 @@ class TestFailureAwareSearch:
         runner = self._failing_runner(monkeypatch, set(CANDIDATES))
         with pytest.raises(SimulationError):
             runner.oracle_search(burst_trace(), CANDIDATES, SMALL)
+
+
+# ---------------------------------------------------------------------------
+# Oracle tier dispatch
+# ---------------------------------------------------------------------------
+class TestOracleTierRegimes:
+    """Which Oracle tier answers, per regime, through both entry points.
+
+    Spies on the tier functions the searches resolve in
+    ``repro.simulation.batch``; every answer must equal the per-candidate
+    strict argmax.
+    """
+
+    IN_ENVELOPE = (2.0, 3.0, 4.0)
+    SUB_ONE = (0.75, 2.0, 3.0, 4.0)
+    FAULTS = FaultPlan((FaultEvent.parse("chiller@60s:fraction=0.6,duration=90"),))
+
+    @pytest.fixture
+    def answered(self, monkeypatch):
+        """The tiers that produced an answer, in call order."""
+        from repro.simulation import batch
+
+        tiers = []
+
+        def spy_fast(name, real):
+            def wrapper(*args, **kwargs):
+                found = real(*args, **kwargs)
+                if found is not None:
+                    tiers.append(name)
+                return found
+
+            return wrapper
+
+        def spy_reference(real):
+            def wrapper(*args, **kwargs):
+                tiers.append("reference")
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            batch,
+            "shared_prefix_oracle_search",
+            spy_fast("shared-prefix", batch.shared_prefix_oracle_search),
+        )
+        monkeypatch.setattr(
+            batch,
+            "vector_oracle_search",
+            spy_fast("vector", batch.vector_oracle_search),
+        )
+        monkeypatch.setattr(
+            SweepRunner,
+            "evaluate_upper_bounds",
+            spy_reference(SweepRunner.evaluate_upper_bounds),
+        )
+        monkeypatch.setattr(
+            batch, "execute_task", spy_reference(batch.execute_task)
+        )
+        return tiers
+
+    @staticmethod
+    def _per_candidate_argmax(trace, candidates, fault_plan=None):
+        performances = []
+        for bound in candidates:
+            try:
+                result = simulate_strategy(
+                    trace,
+                    FixedUpperBoundStrategy(bound),
+                    SMALL,
+                    fault_plan=fault_plan,
+                )
+            except ReproError:
+                performances.append(math.nan)
+            else:
+                performances.append(result.average_performance)
+        best = strict_argmax(performances)
+        assert best is not None
+        return float(candidates[best]), performances[best]
+
+    @pytest.mark.parametrize(
+        "candidates, tier",
+        [(IN_ENVELOPE, "shared-prefix"), (SUB_ONE, "vector")],
+        ids=["in-envelope", "sub-one-candidate"],
+    )
+    def test_fault_free_regimes(self, answered, candidates, tier):
+        from repro.simulation.batch import _oracle_point_search
+
+        trace = burst_trace()
+        expected = self._per_candidate_argmax(trace, candidates)
+
+        direct = SweepRunner(max_workers=1).oracle_search(
+            trace, candidates, SMALL
+        )
+        assert answered == [tier]
+        assert (direct.upper_bound, direct.achieved_performance) == expected
+
+        answered.clear()
+        assert _oracle_point_search(trace, candidates, SMALL) == expected
+        assert answered == [tier]
+
+    def test_faulted_sub_one_candidate_uses_reference_runs(self, answered):
+        trace = burst_trace()
+        expected = self._per_candidate_argmax(
+            trace, self.SUB_ONE, self.FAULTS
+        )
+        found = SweepRunner(max_workers=1).oracle_search(
+            trace, self.SUB_ONE, SMALL, fault_plan=self.FAULTS
+        )
+        # evaluate_upper_bounds, then execute_task once per candidate.
+        assert answered == ["reference"] * (1 + len(self.SUB_ONE))
+        assert (found.upper_bound, found.achieved_performance) == expected

@@ -5,8 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.strategies import GreedyStrategy
+from repro.errors import ConfigurationError
 from repro.power.utility import UtilityEvent, UtilityEventKind
 from repro.simulation.config import DataCenterConfig
+from repro.simulation.datacenter import build_datacenter
+from repro.simulation.engine import run_simulation
 from repro.simulation.scenarios import (
     run_with_utility_events,
     spike_during_sprint_scenario,
@@ -74,3 +78,15 @@ class TestSpikeDuringSprint:
         # The spike window is de-sprinted.
         window = result.degrees[555:605]
         assert max(window) <= 1.0 + 1e-9
+
+
+class TestRunSetUp:
+    def test_dt_mismatch_message_matches_run_simulation(self):
+        """Both entry points share one set-up, so one error message."""
+        trace = Trace(np.full(30, 0.8), 2.0, "coarse")
+        with pytest.raises(ConfigurationError) as plain:
+            run_simulation(build_datacenter(SMALL), trace, GreedyStrategy())
+        with pytest.raises(ConfigurationError) as utility:
+            run_with_utility_events(trace, [], config=SMALL)
+        assert str(utility.value) == str(plain.value)
+        assert "resample" in str(utility.value)
