@@ -80,15 +80,6 @@ from repro.simulation.scheduler import (
     InProcessScheduler,
     ProcessPoolScheduler,
     SweepScheduler,
-    _ShippedSearch as _ShippedSearch,
-    _ShippedTask as _ShippedTask,
-    _WORKER_FACILITIES as _WORKER_FACILITIES,
-    _WORKER_TRACES as _WORKER_TRACES,
-    _execute_shipped as _execute_shipped,
-    _execute_shipped_search as _execute_shipped_search,
-    _facility_for as _facility_for,
-    _init_worker as _init_worker,
-    _trace_content_key as _trace_content_key,
 )
 from repro.simulation.store import ArtifactStore
 from repro.units import minutes
@@ -603,7 +594,8 @@ def execute_task(task: SweepTask) -> TaskResult:
 
     This is the reference compute path — the serial runner and the
     cache-miss refill call it directly, and the pooled worker path
-    (:func:`_execute_shipped`) must stay element-wise identical to it.
+    (:func:`repro.simulation.scheduler._execute_in_worker`) must stay
+    element-wise identical to it.
 
     A simulation-level :class:`~repro.errors.ReproError` (a breaker trip
     in an uncovered scenario, a depleted battery, a thermal emergency)
@@ -629,10 +621,8 @@ def execute_task(task: SweepTask) -> TaskResult:
 # ---------------------------------------------------------------------------
 # Worker-side search path
 # ---------------------------------------------------------------------------
-# The pooled worker machinery (_WORKER_TRACES, _ShippedTask, _init_worker,
-# _facility_for, _execute_shipped, ...) lives in
-# :mod:`repro.simulation.scheduler` and is re-exported above: worker
-# functions resolve ``execute_task`` / ``_oracle_point_search`` through
+# The pool workers' entry points live in :mod:`repro.simulation.scheduler`
+# and resolve ``execute_task`` / ``_oracle_point_search`` through
 # *this* module at call time, so test doubles installed here apply to
 # every backend.
 

@@ -482,26 +482,20 @@ def _run_stretch(
     start: int,
     stop: int,
 ) -> Optional[int]:
-    """Step samples ``[start, stop)``; the failing index or None.
+    """Step samples ``[start, stop)`` as one window; the failing index or None.
 
-    A ``ReproError`` ends the run at the failing sample, whose index is
-    returned; ``ConfigurationError`` keeps raising.
-
-    The samples go one by one through
-    :meth:`~repro.core.controller.SprintingController.step`:
-    ``benchmarks/bench_sweep_grid.py`` gates the packed sweep tier at 3x
-    this per-sample engine.  One ``run_window`` per stretch (failing
-    index from the history length) is bit-identical and about 2x faster;
-    it goes in together with re-deriving that floor.
+    A ``ReproError`` ends the run at the failing sample: the window has
+    appended one history row per completed sample, so that sample's index
+    is ``start`` plus the rows appended.  ``ConfigurationError`` keeps
+    raising.
     """
-    k = start
+    rows_before = len(controller.history)
     try:
-        for k in range(start, stop):
-            controller.step(float(samples[k]), float(times[k]), k)
+        controller.run_window(samples[start:stop], times[start:stop], start)
     except ConfigurationError:
         raise
     except ReproError:
-        return k
+        return start + len(controller.history) - rows_before
     return None
 
 

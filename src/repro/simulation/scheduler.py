@@ -8,9 +8,9 @@ dispatches uncached work through.  Three backends implement it:
   single-core host (no pickling overhead for no parallelism);
 * :class:`ProcessPoolScheduler` — the persistent
   :class:`~concurrent.futures.ProcessPoolExecutor` path extracted from
-  ``SweepRunner``: traces ship to workers once per pool by content hash
-  (via the initializer), workers cache one facility per configuration,
-  and the pool survives across batches until a new trace must ship;
+  ``SweepRunner``: one pool per scheduler, started on first use and kept
+  until :meth:`~SweepScheduler.close`; tasks travel to the workers with
+  their traces, and workers cache one facility per configuration;
 * :class:`~repro.simulation.workqueue.WorkQueueScheduler` — a multi-host
   file/directory work queue (atomically-claimed task files + heartbeat
   leases) drained by any number of ``repro sweep-worker`` processes.
@@ -24,28 +24,29 @@ This module is on the determinism hot-path list: scheduling decides only
 wall clock or entropy source.  (The work-queue backend needs wall-clock
 leases, which is exactly why it lives in its own module off the hot list.)
 
-Worker-side entry points (:func:`_execute_shipped`,
-:func:`_execute_shipped_search`) resolve ``execute_task`` /
-``_oracle_point_search`` through :mod:`repro.simulation.batch` at call
-time, so test doubles installed over the batch module's names apply to
-every backend uniformly.
+Worker-side entry points (:func:`_execute_in_worker`,
+:func:`_search_in_worker`) look their batch helpers (``_oracle_point_search``
+and the result converters) up through :mod:`repro.simulation.batch` at
+call time, so test doubles installed over the batch module's names apply
+to every backend uniformly.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
+    Any,
+    Callable,
     Dict,
     List,
     Optional,
     Sequence,
     Tuple,
+    TypeVar,
 )
 
 from repro.simulation.config import DataCenterConfig
@@ -53,14 +54,10 @@ from repro.simulation.datacenter import DataCenter, build_datacenter
 from repro.workloads.traces import Trace
 
 if TYPE_CHECKING:
-    from repro.simulation.batch import (
-        StrategySpec,
-        SweepTask,
-        TaskResult,
-    )
-    from repro.simulation.faults import FaultPlan
+    from repro.simulation.batch import SweepTask, TaskResult
 
 _LOG = logging.getLogger(__name__)
+_R = TypeVar("_R")
 
 #: The selectable backend names (``repro sweep --backend``).
 BACKEND_NAMES = ("in-process", "process-pool", "work-queue")
@@ -69,46 +66,12 @@ BACKEND_NAMES = ("in-process", "process-pool", "work-queue")
 # ---------------------------------------------------------------------------
 # Worker-side machinery (shared by the pool backend and its tests)
 # ---------------------------------------------------------------------------
-# Per-worker state, populated by the pool initializer and the first task
-# to need a given facility.  Shipping each trace once at worker start-up
-# (instead of pickling it into all of its tasks) and rebuilding the
+# Per-worker facility cache, filled by the first task to need a given
+# configuration and kept for the life of the pool.  Rebuilding the
 # substrate once per configuration (instead of once per run) is what makes
 # warm sweeps cheap; ``run_simulation`` resets the substrate and the fault
 # injector restores mutated ratings, so facility reuse is outcome-neutral.
-_WORKER_TRACES: Dict[str, Trace] = {}
 _WORKER_FACILITIES: Dict[str, DataCenter] = {}
-
-
-def _trace_content_key(trace: Trace) -> str:
-    """Content hash a worker can look a shipped trace up by."""
-    header = f"{trace.name}\x00{trace.dt_s!r}\x00".encode("utf-8")
-    return hashlib.sha256(header + trace.samples.tobytes()).hexdigest()
-
-
-@dataclass(frozen=True)
-class _ShippedTask:
-    """A :class:`SweepTask` with its trace replaced by a content key."""
-
-    trace_key: str
-    spec: "StrategySpec"
-    config: DataCenterConfig
-    fault_plan: Optional["FaultPlan"]
-
-
-@dataclass(frozen=True)
-class _ShippedSearch:
-    """One upper-bound-table grid point, in worker-shippable form."""
-
-    trace_key: str
-    candidates: Tuple[float, ...]
-    config: DataCenterConfig
-
-
-def _init_worker(traces: Tuple[Tuple[str, Trace], ...]) -> None:
-    """Pool initializer: install the batch's traces in this worker."""
-    _WORKER_TRACES.clear()
-    _WORKER_TRACES.update(traces)
-    _WORKER_FACILITIES.clear()
 
 
 def _facility_for(config: DataCenterConfig) -> DataCenter:
@@ -121,8 +84,8 @@ def _facility_for(config: DataCenterConfig) -> DataCenter:
     return datacenter
 
 
-def _execute_shipped(shipped: _ShippedTask) -> "TaskResult":
-    """Worker-process entry point: run one shipped task on cached state.
+def _execute_in_worker(task: "SweepTask") -> "TaskResult":
+    """Worker-process entry point: run one task on the cached facility.
 
     Must produce results element-wise identical to
     :func:`repro.simulation.batch.execute_task`: the facility is reset
@@ -133,12 +96,6 @@ def _execute_shipped(shipped: _ShippedTask) -> "TaskResult":
     from repro.simulation import batch as _batch
     from repro.simulation.engine import run_simulation
 
-    task = _batch.SweepTask(
-        _WORKER_TRACES[shipped.trace_key],
-        shipped.spec,
-        shipped.config,
-        shipped.fault_plan,
-    )
     datacenter = _facility_for(task.config)
     try:
         result = run_simulation(
@@ -154,15 +111,13 @@ def _execute_shipped(shipped: _ShippedTask) -> "TaskResult":
     return _batch._outcome_from_result(result)
 
 
-def _execute_shipped_search(
-    shipped: _ShippedSearch,
+def _search_in_worker(
+    trace: Trace, candidates: Tuple[float, ...], config: DataCenterConfig
 ) -> Optional[Tuple[float, float]]:
     """Worker-process entry point: one grid point's Oracle search."""
     from repro.simulation import batch as _batch
 
-    return _batch._oracle_point_search(
-        _WORKER_TRACES[shipped.trace_key], shipped.candidates, shipped.config
-    )
+    return _batch._oracle_point_search(trace, candidates, config)
 
 
 # ---------------------------------------------------------------------------
@@ -237,12 +192,15 @@ class InProcessScheduler(SweepScheduler):
 class ProcessPoolScheduler(SweepScheduler):
     """The persistent process-pool path, extracted from ``SweepRunner``.
 
-    Traces are shipped to the workers once per pool (by content hash, via
-    the initializer) rather than pickled into every task, and submissions
-    are chunked so the IPC round-trips scale with the worker count, not
-    the task count.  The pool survives across batches; it is only rebuilt
-    when a batch introduces a trace the workers have not seen.  A batch of
-    one task runs in-process — a pool round-trip cannot pay for itself.
+    The pool starts on the first parallel batch and lives until
+    :meth:`close`.  Each task or point search travels to a worker with its
+    trace, so a batch with traces the workers have never seen runs on the
+    same pool; workers keep one facility per configuration across
+    batches.  Task submissions are chunked so the IPC round-trips scale
+    with the worker count, not the task count.  A pool that breaks
+    mid-batch is discarded and the next batch starts a fresh one.  A
+    batch of one task runs in-process — a pool round-trip cannot pay for
+    itself.
     """
 
     name = "process-pool"
@@ -257,7 +215,6 @@ class ProcessPoolScheduler(SweepScheduler):
             )
         self.max_workers = int(max_workers)
         self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_traces: Dict[str, Trace] = {}
 
     @property
     def pool(self) -> Optional[ProcessPoolExecutor]:
@@ -269,28 +226,8 @@ class ProcessPoolScheduler(SweepScheduler):
 
         if len(tasks) < 2:
             return [_batch.execute_task(task) for task in tasks]
-        traces: Dict[str, Trace] = {}
-        shipped = []
-        for task in tasks:
-            key = _trace_content_key(task.trace)
-            traces[key] = task.trace
-            shipped.append(
-                _ShippedTask(key, task.spec, task.config, task.fault_plan)
-            )
-        pool = self._pool_for(traces)
-        chunksize = max(1, len(shipped) // (self.max_workers * 4))
-        try:
-            return list(
-                pool.map(_execute_shipped, shipped, chunksize=chunksize)
-            )
-        except Exception:
-            # A broken pool (killed worker, unpicklable crash) cannot be
-            # reused; drop it so the next batch starts a fresh one.
-            _LOG.debug(
-                "sweep pool failed mid-batch; discarding it", exc_info=True
-            )
-            self.close()
-            raise
+        chunksize = max(1, len(tasks) // (self.max_workers * 4))
+        return self._map(_execute_in_worker, tasks, chunksize=chunksize)
 
     def run_point_searches(
         self,
@@ -305,43 +242,33 @@ class ProcessPoolScheduler(SweepScheduler):
                 _batch._oracle_point_search(trace, candidates, config)
                 for trace in point_traces
             ]
-        traces: Dict[str, Trace] = {}
-        shipped = []
-        for trace in point_traces:
-            key = _trace_content_key(trace)
-            traces[key] = trace
-            shipped.append(_ShippedSearch(key, candidates, config))
-        pool = self._pool_for(traces)
+        n = len(point_traces)
+        return self._map(
+            _search_in_worker, point_traces, [candidates] * n, [config] * n
+        )
+
+    def _map(
+        self,
+        fn: Callable[..., _R],
+        *iterables: Sequence[Any],
+        chunksize: int = 1,
+    ) -> List[_R]:
+        """``fn`` over ``iterables`` on the pool, started on first use."""
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
         try:
-            return list(pool.map(_execute_shipped_search, shipped))
+            return list(self._pool.map(fn, *iterables, chunksize=chunksize))
         except Exception:
+            # A broken pool (killed worker, unpicklable crash) cannot be
+            # reused; drop it so the next batch starts a fresh one.
             _LOG.debug(
                 "sweep pool failed mid-batch; discarding it", exc_info=True
             )
             self.close()
             raise
 
-    def _pool_for(self, traces: Dict[str, Trace]) -> ProcessPoolExecutor:
-        """The persistent pool, rebuilt only when new traces must ship."""
-        new = {
-            key: trace
-            for key, trace in traces.items()
-            if key not in self._pool_traces
-        }
-        if self._pool is None or new:
-            if self._pool is not None:
-                self._pool.shutdown(wait=False)
-            self._pool_traces.update(new)
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.max_workers,
-                initializer=_init_worker,
-                initargs=(tuple(self._pool_traces.items()),),
-            )
-        return self._pool
-
     def close(self) -> None:
-        """Shut the pool down and forget the shipped traces (idempotent)."""
+        """Shut the pool down (idempotent)."""
         if self._pool is not None:
             self._pool.shutdown(wait=False)
             self._pool = None
-            self._pool_traces = {}

@@ -1,12 +1,12 @@
 """Tests for the persistent sweep pool and worker-side reuse.
 
-The parallel runner keeps its process pool alive across batches and ships
-each trace to the workers once (by content hash, via the pool
-initializer) instead of pickling it into every task; workers cache one
-facility per configuration and reset it between runs.  These tests pin
-the two things that matter: the pool actually persists (and is rebuilt
-exactly when a new trace must ship), and none of the reuse changes a
-single result relative to the serial reference path.
+The parallel runner starts its process pool once and keeps it alive
+across batches; every task travels to a worker with its trace, so a new
+trace does not restart the pool.  Workers cache one facility per
+configuration and reset it between runs.  These tests pin the two things
+that matter: the pool actually persists (also across batches that bring
+unseen traces), and none of the reuse changes a single result relative
+to the serial reference path.
 """
 
 from __future__ import annotations
@@ -18,13 +18,10 @@ from repro.simulation.batch import (
     StrategySpec,
     SweepRunner,
     SweepTask,
-    _ShippedTask,
-    _execute_shipped,
-    _init_worker,
-    _trace_content_key,
     execute_task,
 )
 from repro.simulation.config import DataCenterConfig
+from repro.simulation.scheduler import ProcessPoolScheduler, _execute_in_worker
 from repro.workloads.traces import Trace
 
 SMALL = DataCenterConfig(n_pdus=2, servers_per_pdu=25)
@@ -56,7 +53,7 @@ class TestPoolPersistence:
         finally:
             runner.close()
 
-    def test_pool_rebuilt_when_new_trace_appears(self):
+    def test_pool_persists_across_new_traces(self):
         runner = SweepRunner(max_workers=2, vector_pack=False)
         spec_pair = [StrategySpec.fixed(2.0), StrategySpec.fixed(3.0)]
         try:
@@ -64,10 +61,11 @@ class TestPoolPersistence:
                 [SweepTask(burst_trace(0), s, SMALL) for s in spec_pair]
             )
             first_pool = runner._pool
-            runner.run_tasks(
-                [SweepTask(burst_trace(1), s, SMALL) for s in spec_pair]
-            )
-            assert runner._pool is not first_pool
+            assert first_pool is not None
+            unseen = [SweepTask(burst_trace(1), s, SMALL) for s in spec_pair]
+            results = runner.run_tasks(unseen)
+            assert runner._pool is first_pool
+            assert results == [execute_task(task) for task in unseen]
         finally:
             runner.close()
 
@@ -141,20 +139,16 @@ class TestRunnerLifecycle:
 
 class TestWorkerReuseCorrectness:
     def test_shipped_path_matches_reference_path(self):
-        """The worker entry point (cached facility, shipped trace) must be
-        element-wise identical to ``execute_task`` — including when the
-        same facility is reused for a second, different run."""
-        trace = burst_trace()
-        key = _trace_content_key(trace)
-        _init_worker(((key, trace),))
-        for spec in (
-            StrategySpec.greedy(),
-            StrategySpec.fixed(2.5),
-            StrategySpec.greedy(),  # reuses the now-warm facility
+        """The worker entry point (cached facility) must be element-wise
+        identical to ``execute_task`` — including when the now-warm
+        facility is reused for different runs on different traces."""
+        for trace, spec in (
+            (burst_trace(0), StrategySpec.greedy()),
+            (burst_trace(0), StrategySpec.fixed(2.5)),
+            (burst_trace(1), StrategySpec.greedy()),
         ):
-            shipped = _ShippedTask(key, spec, SMALL, None)
-            reference = execute_task(SweepTask(trace, spec, SMALL))
-            assert _execute_shipped(shipped) == reference
+            task = SweepTask(trace, spec, SMALL)
+            assert _execute_in_worker(task) == execute_task(task)
 
     def test_parallel_pool_results_match_serial(self):
         traces = [burst_trace(seed) for seed in range(3)]
@@ -173,9 +167,37 @@ class TestWorkerReuseCorrectness:
             parallel_runner.close()
         assert parallel == serial
 
-    def test_trace_content_key_separates_content(self):
-        a = burst_trace(0)
-        b = burst_trace(1)
-        assert _trace_content_key(a) != _trace_content_key(b)
-        same = Trace(a.samples.copy(), dt_s=a.dt_s, name=a.name)
-        assert _trace_content_key(a) == _trace_content_key(same)
+
+class TestBrokenPool:
+    def test_pool_that_fails_mid_batch_is_discarded(self):
+        """A pool whose batch raised cannot be trusted with the next one:
+        the scheduler shuts it down, re-raises, and the next batch starts
+        a fresh pool whose results equal the serial path."""
+
+        class _BrokenPool:
+            shut_down = False
+
+            def map(self, *args, **kwargs):
+                raise RuntimeError("worker died")
+
+            def shutdown(self, wait=True):
+                self.shut_down = True
+
+        scheduler = ProcessPoolScheduler(max_workers=2)
+        broken = _BrokenPool()
+        scheduler._pool = broken
+        tasks = [
+            SweepTask(burst_trace(), StrategySpec.fixed(bound), SMALL)
+            for bound in (2.0, 3.0)
+        ]
+        try:
+            with pytest.raises(RuntimeError, match="worker died"):
+                scheduler.run_tasks(tasks)
+            assert broken.shut_down
+            assert scheduler.pool is None
+            assert scheduler.run_tasks(tasks) == [
+                execute_task(task) for task in tasks
+            ]
+            assert scheduler.pool is not None
+        finally:
+            scheduler.close()

@@ -27,6 +27,7 @@ from repro.simulation.batch import SweepRunner
 from repro.simulation.config import DataCenterConfig
 from repro.simulation.datacenter import build_datacenter
 from repro.simulation.engine import (
+    _run_stretch,
     shared_prefix_oracle_search,
     simulate_strategy,
 )
@@ -148,6 +149,44 @@ class TestFailureBranches:
     test fail loudly instead of silently skipping the branch."""
 
     GRID = (1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
+
+    @pytest.mark.parametrize("cut", (0, 60, 95))
+    def test_stretch_failing_index_matches_per_sample_loop(self, cut):
+        """``_run_stretch`` steps a whole stretch as one window and must
+        name the same failing sample as stepping it one sample at a time,
+        also when the run was cut into stretches ahead of the trip."""
+        config = DataCenterConfig(
+            n_pdus=2, servers_per_pdu=50, reserve_trip_time_s=0.5
+        )
+        values = [0.8] * 30 + [2.2] * 65 + [3.0] + [0.5] * 200
+        trace = Trace(np.asarray(values, dtype=float), 1.0, "stretch-trip")
+        samples, times = trace.samples, trace.times_s()
+
+        def fresh():
+            datacenter = build_datacenter(config)
+            controller = datacenter.controller(FixedUpperBoundStrategy(4.0))
+            controller.strategy.reset()
+            return controller
+
+        per_sample = fresh()
+        expected = None
+        for k in range(samples.size):
+            try:
+                per_sample.step(float(samples[k]), float(times[k]), k)
+            except ReproError:
+                expected = k
+                break
+        assert expected == 95
+
+        windowed = fresh()
+        if cut:
+            assert _run_stretch(windowed, samples, times, 0, cut) is None
+        failed = _run_stretch(windowed, samples, times, cut, samples.size)
+        assert failed == expected
+        assert np.array_equal(
+            windowed.history.column("served"),
+            per_sample.history.column("served"),
+        )
 
     def test_baseline_fails_on_a_divergence_frontier(self):
         """A one-sample spike at sample 95 trips the largest bound's
