@@ -5,7 +5,7 @@
 install:
 	pip install -e . || python setup.py develop
 
-check: lint test
+check: lint test perfbench-selftest
 
 # Domain-aware static analysis (repro.analysis) always runs; mypy and ruff
 # run when installed (pip install -e .[lint]) and their failures are fatal.

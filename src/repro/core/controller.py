@@ -25,7 +25,6 @@ thermal threshold — the uncontrolled baseline in
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -191,12 +190,6 @@ class SprintingController:
         self._burst_was_active = False
         #: Absolute serving capacity while degraded, None when healthy.
         self._degraded_capacity: Optional[float] = None
-        #: Demand-implied degree of the most recent step (before any bound
-        #: or fit shrinks it) — ``cluster.degree_for_demand(demand)``.  The
-        #: shared-prefix Oracle search reads this to locate, per candidate
-        #: bound, the first step where the bound would bind; math.nan until
-        #: a step runs.  Written by both the kernel and the reference path.
-        self.last_needed_degree: float = math.nan
         if kernel is not None:
             self._kernel: Optional[StepKernel] = kernel
         elif use_kernel:
@@ -288,7 +281,6 @@ class SprintingController:
         upper_bound = self.strategy.degree_upper_bound(obs)
 
         needed = self.cluster.degree_for_demand(demand)
-        self.last_needed_degree = needed
         degree = min(needed, upper_bound)
         if self.safety.emergency_active:
             # External hazard (e.g. a utility power spike): end sprinting
@@ -599,4 +591,3 @@ class SprintingController:
         self.history.clear()
         self._burst_was_active = False
         self._degraded_capacity = None
-        self.last_needed_degree = math.nan

@@ -781,9 +781,9 @@ class StepKernel:
                     else:
                         upper_bound = const_bound
 
-                    needed = span_needed
-                    ctrl.last_needed_degree = needed
-                    degree = needed if needed <= upper_bound else upper_bound
+                    degree = (
+                        span_needed if span_needed <= upper_bound else upper_bound
+                    )
                     if safety._emergency_latched:
                         degree = min(degree, 1.0)
                     if pcm is not None:

@@ -656,11 +656,6 @@ class MPCStrategy(SprintingStrategy):
         self._planner = planner
 
     @property
-    def planner_bound(self) -> bool:
-        """Whether a rollout planner is currently attached."""
-        return self._planner is not None
-
-    @property
     def plan_log(self) -> Tuple[Tuple[float, float], ...]:
         """Every committed plan this episode as ``(time_s, bound)`` pairs."""
         return tuple(self._plan_log)

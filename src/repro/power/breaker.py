@@ -214,11 +214,6 @@ class CircuitBreaker:
         o = self.curve.max_overload_for_trip_time(equivalent_full_trip_s)
         return self.rated_power_w * (1.0 + o)
 
-    @property
-    def headroom_consumed(self) -> float:
-        """Alias for the consumed thermal trip fraction."""
-        return self.trip_fraction
-
     # ------------------------------------------------------------------
     # Dynamics
     # ------------------------------------------------------------------

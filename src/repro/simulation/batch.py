@@ -87,9 +87,6 @@ from repro.workloads.traces import Trace
 from repro.workloads.yahoo_trace import generate_yahoo_trace
 
 if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor
-
-    from repro.servers.cluster import ServerCluster
     from repro.simulation.metrics import SimulationResult
 
 _LOG = logging.getLogger(__name__)
@@ -219,18 +216,8 @@ class StrategySpec:
             violation_penalty_s=float(violation_penalty_s),
         )
 
-    def build(
-        self,
-        config: DataCenterConfig,
-        cluster: Optional["ServerCluster"] = None,
-    ) -> SprintingStrategy:
-        """Materialise the live strategy object for ``config``.
-
-        ``cluster`` optionally supplies an already-built facility's server
-        cluster so the Heuristic strategy's power model does not rebuild
-        the whole substrate; the result is identical (the model is a pure
-        function of the configuration).
-        """
+    def build(self, config: DataCenterConfig) -> SprintingStrategy:
+        """Materialise the live strategy object for ``config``."""
         if self.kind == "greedy":
             return GreedyStrategy()
         if self.kind == "fixed":
@@ -257,8 +244,7 @@ class StrategySpec:
                 raise ConfigurationError(
                     "heuristic spec needs estimated_best_degree"
                 )
-            if cluster is None:
-                cluster = build_datacenter(config).cluster
+            cluster = build_datacenter(config).cluster
             return HeuristicStrategy(
                 estimated_best_degree=self.estimated_best_degree,
                 additional_power_fn=cluster.additional_power_at_degree_w,
@@ -592,10 +578,9 @@ def _failure_from_error(task: SweepTask, exc: ReproError) -> RunFailure:
 def execute_task(task: SweepTask) -> TaskResult:
     """Run one task to completion on a fresh facility.
 
-    This is the reference compute path — the serial runner and the
-    cache-miss refill call it directly, and the pooled worker path
-    (:func:`repro.simulation.scheduler._execute_in_worker`) must stay
-    element-wise identical to it.
+    This is the one task compute path: every scheduler backend (in
+    process, pool worker, work-queue worker) runs it, and the packed tier
+    re-runs its failed elements through it.
 
     A simulation-level :class:`~repro.errors.ReproError` (a breaker trip
     in an uncovered scenario, a depleted battery, a thermal emergency)
@@ -619,14 +604,8 @@ def execute_task(task: SweepTask) -> TaskResult:
 
 
 # ---------------------------------------------------------------------------
-# Worker-side search path
+# The Oracle search path
 # ---------------------------------------------------------------------------
-# The pool workers' entry points live in :mod:`repro.simulation.scheduler`
-# and resolve ``execute_task`` / ``_oracle_point_search`` through
-# *this* module at call time, so test doubles installed here apply to
-# every backend.
-
-
 def _oracle_tiers(
     trace: Trace,
     candidates: Sequence[float],
@@ -782,18 +761,6 @@ class SweepRunner:
         self.hits = 0
         self.misses = 0
         self._closed = False
-
-    @property
-    def _pool(self) -> Optional["ProcessPoolExecutor"]:
-        """The backend's live process pool (``None`` for poolless backends).
-
-        Kept as a property so the pool-persistence tests keep observing
-        the executor exactly where they always did.
-        """
-        scheduler = self._scheduler
-        if isinstance(scheduler, ProcessPoolScheduler):
-            return scheduler.pool
-        return None
 
     @classmethod
     def from_env(cls) -> "SweepRunner":
@@ -1086,11 +1053,6 @@ class SweepRunner:
     # ------------------------------------------------------------------
     # The shared artifact store (content-addressed result cache)
     # ------------------------------------------------------------------
-    def _cache_path(self, key: str) -> Optional[Path]:
-        if self.store is None:
-            return None
-        return self.store.path_for(key)
-
     def _cache_load(self, key: str) -> Optional[TaskResult]:
         """Load one cached result; any malformed entry reads as a miss.
 

@@ -1,18 +1,17 @@
 """Many-facility batch runs on the vectorized step kernel.
 
-:class:`BatchFacility` fronts :class:`~repro.core.vector_kernel.VectorStepKernel`
-for the simulation layer: one facility substrate is built per config, and
-:meth:`BatchFacility.run_fixed_bounds` advances a whole grid of candidate
-upper bounds over a trace in lockstep — the workload of the Oracle grid
-search and :meth:`SweepRunner.build_upper_bound_table` — instead of one
-full scalar run per candidate.
+:func:`run_vector_batch` fronts :class:`~repro.core.vector_kernel.VectorStepKernel`
+for the simulation layer: it builds one fresh facility substrate for the
+config and advances a whole grid of fixed upper bounds over a demand
+series in lockstep — the workload of the Oracle grid search and
+:meth:`SweepRunner.build_upper_bound_table` — instead of one full scalar
+run per bound.
 
 Each batch element is bit-identical to the scalar reference run of the
 same fixed bound (the vector kernel's contract), so the Oracle argmax over
-the batch reproduces the per-candidate reference search exactly: the same
-performances, the same strict first-wins tie-break, the same exclusion of
-failed candidates, and the same :class:`~repro.errors.SimulationError`
-when every candidate fails.
+the batch (:func:`best_fixed_bound`) reproduces the per-candidate
+reference search exactly: the same performances, the same strict
+first-wins tie-break and the same exclusion of failed candidates.
 
 :func:`vector_oracle_search` is the engine-facing entry point.  It is the
 middle tier of the Oracle resolution order (shared-prefix -> vector ->
@@ -24,10 +23,8 @@ with real physics — nothing is fast-forwarded.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,162 +32,97 @@ from repro.core.strategies import FixedUpperBoundStrategy, strict_argmax
 from repro.core.vector_kernel import VectorStepKernel
 from repro.errors import ConfigurationError, SimulationError
 from repro.simulation.config import DEFAULT_CONFIG, DataCenterConfig
-from repro.simulation.datacenter import DataCenter, build_datacenter
+from repro.simulation.datacenter import build_datacenter
 from repro.simulation.metrics import average_performance_improvement
 from repro.workloads.traces import Trace
 
-@dataclass(frozen=True)
-class BatchRunResult:
-    """SoA telemetry of one fixed-bound batch run.
 
-    ``served`` is a ``(len(trace), n)`` matrix: column ``j`` is bound
-    ``bounds[j]``'s served series, 0.0 from its failing step onward.
-    ``performances[j]`` is the burst-window average performance
-    improvement, NaN when the element failed — mirroring how the sweep
-    maps a failed run to NaN rather than a measured 0.0.
+def run_vector_batch(
+    config: DataCenterConfig,
+    demand: np.ndarray,
+    dt_s: float,
+    bounds: Sequence[float],
+    telemetry_fields: Optional[Sequence[str]] = None,
+) -> Tuple[np.ndarray, VectorStepKernel]:
+    """Advance one batch of fixed bounds in lockstep on a fresh facility.
+
+    ``demand`` is either one shared series (1-D, every element sees the
+    same sample each step) or a ``(n_steps, len(bounds))`` matrix whose
+    column ``j`` drives element ``j``.  The matrix form is how the packed
+    sweep tier fuses grid points over *different* traces (same length,
+    same sampling period) into one kernel run: every kernel operation is
+    elementwise over the batch axis, so each column evolves exactly as it
+    would in a batch fed only its own trace.
+
+    ``dt_s`` is the demand sampling period, validated against the
+    controller step and used for the step timestamps (``i * dt_s``,
+    matching the scalar engine).  ``telemetry_fields`` selects the
+    kernel's recorded columns (``None`` records none).  Returns
+    ``(served, kernel)``: the ``(n_steps, len(bounds))`` served matrix
+    (0.0 from an element's failing step onward) and the kernel, whose
+    per-element aggregates and telemetry columns the caller reduces.
     """
-
-    bounds: np.ndarray
-    served: np.ndarray
-    failed: np.ndarray
-    failed_kind: np.ndarray
-    failed_step: np.ndarray
-    performances: np.ndarray
-    kernel: VectorStepKernel
-
-
-class BatchFacility:
-    """One facility substrate, advanced as a batch of candidate bounds."""
-
-    def __init__(self, config: DataCenterConfig = DEFAULT_CONFIG) -> None:
-        self.config = config
-        self._datacenter: DataCenter = build_datacenter(config)
-
-    @property
-    def datacenter(self) -> DataCenter:
-        return self._datacenter
-
-    def run_fixed_bounds(
-        self,
-        trace: Trace,
-        bounds: Sequence[float],
-        telemetry_fields: Optional[Sequence[str]] = None,
-    ) -> BatchRunResult:
-        """Run every bound over ``trace`` in one vectorized lockstep pass.
-
-        ``telemetry_fields`` selects the kernel's recorded columns
-        (``None`` records none, ``TELEMETRY_FIELDS`` all of them).
-        """
-        if abs(trace.dt_s - self.config.dt_s) > 1e-9:
-            raise ConfigurationError(
-                f"trace sampling period ({trace.dt_s:g} s) does not match "
-                f"the controller step ({self.config.dt_s:g} s); resample "
-                "the trace or set the config's dt_s accordingly"
-            )
-        datacenter = self._datacenter
-        datacenter.reset()
-        controller = datacenter.controller(FixedUpperBoundStrategy(1.0))
-        controller.strategy.reset()
-        kernel = VectorStepKernel(
-            datacenter.cluster,
-            datacenter.topology,
-            datacenter.cooling,
-            controller,
-            np.asarray(bounds, dtype=np.float64),
-            telemetry_fields=telemetry_fields,
+    if abs(dt_s - config.dt_s) > 1e-9:
+        raise ConfigurationError(
+            f"demand sampling period ({dt_s:g} s) does not match "
+            f"the controller step ({config.dt_s:g} s); resample "
+            "the demand or set the config's dt_s accordingly"
         )
-        dt = trace.dt_s
-        served = np.empty((len(trace), kernel.n), dtype=np.float64)
-        for i, sample in enumerate(trace.samples):
-            served[i] = kernel.step(float(sample), i * dt)
-        performances = np.full(kernel.n, math.nan)
-        for j in range(kernel.n):
-            if not kernel.failed[j]:
-                performances[j] = average_performance_improvement(
-                    served[:, j], trace
-                )
-        return BatchRunResult(
-            bounds=kernel.bounds,
-            served=served,
-            failed=kernel.failed,
-            failed_kind=kernel.failed_kind,
-            failed_step=kernel.failed_step,
-            performances=performances,
-            kernel=kernel,
+    demand_arr = np.asarray(demand, dtype=np.float64)
+    bound_arr = np.asarray(bounds, dtype=np.float64)
+    if demand_arr.ndim == 2 and demand_arr.shape[1] != bound_arr.size:
+        raise ConfigurationError(
+            f"demand must have shape (n_steps, {bound_arr.size}), "
+            f"got {demand_arr.shape!r}"
         )
-
-    def run_demand_matrix(
-        self,
-        demand: np.ndarray,
-        dt_s: float,
-        bounds: Sequence[float],
-        telemetry_fields: Optional[Sequence[str]] = None,
-    ) -> Tuple[np.ndarray, VectorStepKernel]:
-        """Advance a batch where every element has its *own* demand series.
-
-        ``demand`` is a ``(n_steps, len(bounds))`` matrix — column ``j``
-        drives element ``j``, whose fixed upper bound is ``bounds[j]``.
-        This is how the packed sweep tier fuses grid points over
-        *different* traces (same length, same sampling period) into one
-        lockstep kernel run: every kernel operation is elementwise over
-        the batch axis, so each column evolves exactly as it would in a
-        batch fed only its own trace.
-
-        ``dt_s`` is the demand sampling period, validated against the
-        controller step exactly like :meth:`run_fixed_bounds` and used for
-        the step timestamps (``i * dt_s``, matching the scalar engine).
-        Returns ``(served, kernel)``: the served matrix (0.0 from an
-        element's failing step onward) and the kernel, whose per-element
-        aggregates and selected telemetry columns the caller reduces.
-        """
-        if abs(dt_s - self.config.dt_s) > 1e-9:
-            raise ConfigurationError(
-                f"demand sampling period ({dt_s:g} s) does not match "
-                f"the controller step ({self.config.dt_s:g} s); resample "
-                "the demand or set the config's dt_s accordingly"
-            )
-        demand_matrix = np.asarray(demand, dtype=np.float64)
-        bound_arr = np.asarray(bounds, dtype=np.float64)
-        if (
-            demand_matrix.ndim != 2
-            or demand_matrix.shape[1] != bound_arr.size
-        ):
-            raise ConfigurationError(
-                f"demand must have shape (n_steps, {bound_arr.size}), "
-                f"got {demand_matrix.shape!r}"
-            )
-        datacenter = self._datacenter
-        datacenter.reset()
-        controller = datacenter.controller(FixedUpperBoundStrategy(1.0))
-        controller.strategy.reset()
-        kernel = VectorStepKernel(
-            datacenter.cluster,
-            datacenter.topology,
-            datacenter.cooling,
-            controller,
-            bound_arr,
-            telemetry_fields=telemetry_fields,
-        )
-        served = np.empty_like(demand_matrix)
-        for i in range(demand_matrix.shape[0]):
-            served[i] = kernel.step(demand_matrix[i], i * dt_s)
-        return served, kernel
+    datacenter = build_datacenter(config)
+    datacenter.reset()
+    controller = datacenter.controller(FixedUpperBoundStrategy(1.0))
+    controller.strategy.reset()
+    kernel = VectorStepKernel(
+        datacenter.cluster,
+        datacenter.topology,
+        datacenter.cooling,
+        controller,
+        bound_arr,
+        telemetry_fields=telemetry_fields,
+    )
+    served = np.empty((demand_arr.shape[0], kernel.n), dtype=np.float64)
+    if demand_arr.ndim == 1:
+        # A scalar demand per step keeps the kernel on its broadcast path.
+        for i, sample in enumerate(demand_arr):
+            served[i] = kernel.step(float(sample), i * dt_s)
+    else:
+        for i in range(demand_arr.shape[0]):
+            served[i] = kernel.step(demand_arr[i], i * dt_s)
+    return served, kernel
 
 
-#: Per-process BatchFacility cache, mirroring the worker facility cache in
-#: :mod:`repro.simulation.batch`: every run resets the substrate, so only
-#: construction cost is amortised, never state.
-_FACILITY_CACHE: Dict[str, BatchFacility] = {}
+def best_fixed_bound(
+    served: np.ndarray,
+    failed: np.ndarray,
+    trace: Trace,
+    candidates: Sequence[float],
+    first: int = 0,
+) -> Optional[Tuple[float, float]]:
+    """One grid point's Oracle reduction over its batch elements.
 
-
-def _batch_facility_for(config: DataCenterConfig) -> BatchFacility:
-    """This process's cached batch facility for ``config``."""
-    key = json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":"))
-    facility = _FACILITY_CACHE.get(key)
-    if facility is None:
-        facility = BatchFacility(config)
-        _FACILITY_CACHE[key] = facility
-    return facility
+    Element ``first + c`` ran ``candidates[c]`` over ``trace``.  A failed
+    element scores NaN and the strict first-wins argmax skips it, exactly
+    like the per-candidate reference search.  Returns
+    ``(best_bound, best_performance)``, or ``None`` when every element
+    failed.
+    """
+    performances = [
+        math.nan
+        if bool(failed[first + c])
+        else average_performance_improvement(served[:, first + c], trace)
+        for c in range(len(candidates))
+    ]
+    best = strict_argmax(performances)
+    if best is None:
+        return None
+    return float(candidates[best]), performances[best]
 
 
 def vector_oracle_search(
@@ -211,13 +143,11 @@ def vector_oracle_search(
         return None
     if abs(trace.dt_s - config.dt_s) > 1e-9:
         return None  # reference path raises the descriptive ConfigurationError
-    result = _batch_facility_for(config).run_fixed_bounds(
-        trace, [float(c) for c in candidates]
-    )
-    best = strict_argmax(result.performances.tolist())
-    if best is None:
+    served, kernel = run_vector_batch(config, trace.samples, trace.dt_s, candidates)
+    found = best_fixed_bound(served, kernel.failed, trace, candidates)
+    if found is None:
         raise SimulationError(
             "oracle search failed: every candidate upper bound's run "
             f"failed on trace {trace.name!r}"
         )
-    return float(candidates[best]), float(result.performances[best])
+    return found

@@ -45,8 +45,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.strategies import strict_argmax
-from repro.simulation.batch_facility import _batch_facility_for
+from repro.simulation.batch_facility import best_fixed_bound, run_vector_batch
 from repro.simulation.config import DataCenterConfig
 from repro.simulation.metrics import average_performance_improvement
 from repro.workloads.traces import Trace
@@ -181,8 +180,8 @@ def _run_packed_group(tasks: Sequence["SweepTask"]) -> List["TaskResult"]:
             if task.spec.kind == "greedy"
             else float(task.spec.upper_bound)  # type: ignore[arg-type]
         )
-    facility = _batch_facility_for(first.config)
-    served, kernel = facility.run_demand_matrix(
+    served, kernel = run_vector_batch(
+        first.config,
         demand,
         first.trace.dt_s,
         bounds,
@@ -240,9 +239,10 @@ def packed_point_searches(
 
     Every grid point contributes ``len(candidates)`` batch elements (its
     trace replicated across the candidate bounds); traces of equal length
-    share one kernel run.  Per point the strict first-wins argmax over
-    the candidate performances replicates the reference search exactly —
-    NaN (failed) candidates skipped, ``None`` when all fail.
+    share one kernel run.  Per point, :func:`best_fixed_bound` (the same
+    reduction as :func:`vector_oracle_search`) replicates the reference
+    search exactly — NaN (failed) candidates skipped, ``None`` when all
+    fail.
 
     Returns ``None`` — "not handled, use the per-point path" — when a
     trace falls outside the kernel envelope (``dt`` mismatch raises the
@@ -265,7 +265,6 @@ def packed_point_searches(
     for p, trace in enumerate(point_traces):
         groups.setdefault((repr(trace.dt_s), len(trace)), []).append(p)
 
-    facility = _batch_facility_for(config)
     results: List[Optional[Tuple[float, float]]] = [None] * len(point_traces)
     for point_indices in groups.values():
         first_trace = point_traces[point_indices[0]]
@@ -276,20 +275,9 @@ def packed_point_searches(
             lo = slot * n_cand
             demand[:, lo : lo + n_cand] = point_traces[p].samples[:, None]
             bounds[lo : lo + n_cand] = cand_arr
-        served, kernel = facility.run_demand_matrix(
-            demand, first_trace.dt_s, bounds
-        )
+        served, kernel = run_vector_batch(config, demand, first_trace.dt_s, bounds)
         for slot, p in enumerate(point_indices):
-            lo = slot * n_cand
-            performances = [
-                math.nan
-                if bool(kernel.failed[lo + c])
-                else average_performance_improvement(
-                    served[:, lo + c], point_traces[p]
-                )
-                for c in range(n_cand)
-            ]
-            best = strict_argmax(performances)
-            if best is not None:
-                results[p] = (float(candidates[best]), performances[best])
+            results[p] = best_fixed_bound(
+                served, kernel.failed, point_traces[p], candidates, slot * n_cand
+            )
     return results

@@ -26,9 +26,9 @@ Design notes
   per-step and belongs to a *run*, not to the facility state; callers fork
   from a snapshot with whatever history container they need.  Everything
   that feeds back into the physics *is* captured.
-* **NaN-aware equality.** ``tripped_at_s`` and ``last_needed_degree`` are
-  NaN before first use; :class:`FacilityState` equality treats NaN as equal
-  to itself so capture→restore→capture round-trips compare equal.
+* **NaN-aware equality.** ``tripped_at_s`` is NaN before first use;
+  :class:`FacilityState` equality treats NaN as equal to itself so
+  capture→restore→capture round-trips compare equal.
 """
 
 from __future__ import annotations
@@ -181,7 +181,6 @@ class FacilityState:
     safety_events: Tuple[Any, ...]
     burst_was_active: bool
     degraded_capacity: Optional[float]
-    last_needed_degree: float
     strategy_state: Optional[Tuple[Any, ...]]
     # --- faults ------------------------------------------------------
     injector: Optional[InjectorState]
@@ -263,7 +262,6 @@ class FacilityState:
             safety_events=tuple(controller.safety.events),
             burst_was_active=controller._burst_was_active,
             degraded_capacity=controller._degraded_capacity,
-            last_needed_degree=controller.last_needed_degree,
             strategy_state=controller.strategy.snapshot_state(),
             injector=None if injector is None else InjectorState.capture(injector),
         )
@@ -341,7 +339,6 @@ class FacilityState:
         controller.safety.events = list(self.safety_events)
         controller._burst_was_active = self.burst_was_active
         controller._degraded_capacity = self.degraded_capacity
-        controller.last_needed_degree = self.last_needed_degree
         controller.strategy.restore_state(self.strategy_state)
         if self.injector is not None and injector is not None:
             self.injector.restore(injector)

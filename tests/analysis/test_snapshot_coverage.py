@@ -74,8 +74,8 @@ class TestTamperSensitivity:
         sources = tampered(
             real_sources,
             "controller.py",
-            "self.last_needed_degree = math.nan",
-            "self.last_needed_degree = math.nan\n"
+            "self._burst_was_active = False",
+            "self._burst_was_active = False\n"
             "        self._hidden_state = 1.0",
         )
         findings = SnapshotCoverageRule().check_project(sources)

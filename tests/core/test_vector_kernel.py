@@ -38,7 +38,7 @@ from repro.errors import (
 )
 from repro.simulation import batch_facility
 from repro.simulation.batch_facility import (
-    BatchFacility,
+    run_vector_batch,
     vector_oracle_search,
 )
 from repro.simulation.config import DataCenterConfig
@@ -410,7 +410,7 @@ class TestOracleEquivalence:
         trace = random_trace(1, dt_s=2.0)
         assert vector_oracle_search(trace, self.CANDIDATES, SMALL) is None
         with pytest.raises(ConfigurationError):
-            BatchFacility(SMALL).run_fixed_bounds(trace, self.CANDIDATES)
+            run_vector_batch(SMALL, trace.samples, trace.dt_s, self.CANDIDATES)
 
     def test_empty_candidates(self):
         trace = random_trace(1)
@@ -418,13 +418,13 @@ class TestOracleEquivalence:
 
     def test_all_failed_raises_simulation_error(self, monkeypatch):
         trace = random_trace(6)
-        facility = BatchFacility(SMALL)
+        datacenter = build_datacenter(SMALL)
         # Cripple the DC breaker on every element right away: every
         # candidate's run fails, the reference argmax contract.
-        breaker = facility.datacenter.topology.dc_breaker
+        breaker = datacenter.topology.dc_breaker
         breaker.rated_power_w *= 1e-6
         monkeypatch.setattr(
-            batch_facility, "_batch_facility_for", lambda config: facility
+            batch_facility, "build_datacenter", lambda config: datacenter
         )
         with pytest.raises(SimulationError, match="every candidate"):
             vector_oracle_search(trace, self.CANDIDATES, SMALL)

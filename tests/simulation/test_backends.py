@@ -21,9 +21,11 @@ from repro.simulation.batch import (
     SweepTask,
 )
 from repro.simulation.config import DataCenterConfig
+from repro.simulation.faults import FaultPlan
 from repro.workloads.traces import Trace
 
 SMALL = DataCenterConfig(n_pdus=2, servers_per_pdu=25)
+OTHER = DataCenterConfig(n_pdus=3, servers_per_pdu=20)
 CANDIDATES = (2.0, 2.5, 3.0, 3.5)
 
 #: Every selectable execution path.  ``vector-packed`` is the in-process
@@ -67,7 +69,8 @@ def make_runner(backend: str, tmp_path, cache_dir=None) -> SweepRunner:
 
 
 def mixed_tasks() -> list:
-    """Packable (fixed, greedy) and unpackable (MPC) tasks, mixed."""
+    """Packable (fixed, greedy) and unpackable (MPC, heuristic, faulted)
+    tasks over two configurations, mixed."""
     trace = burst_trace()
     return [
         SweepTask(trace, StrategySpec.fixed(2.0), SMALL),
@@ -79,6 +82,14 @@ def mixed_tasks() -> list:
             SMALL,
         ),
         SweepTask(burst_trace(1), StrategySpec.fixed(2.5), SMALL),
+        SweepTask(trace, StrategySpec.heuristic(3.0), SMALL),
+        SweepTask(
+            trace,
+            StrategySpec.fixed(3.0),
+            SMALL,
+            fault_plan=FaultPlan.from_specs(["chiller@40s"]),
+        ),
+        SweepTask(trace, StrategySpec.fixed(2.5), OTHER),
     ]
 
 
@@ -212,7 +223,7 @@ class TestBackendSelection:
         assert runner.max_workers == 1
         assert runner.backend == "in-process"
         runner.run_tasks(mixed_tasks()[:2])
-        assert runner._pool is None
+        assert getattr(runner._scheduler, "pool", None) is None
 
     def test_from_env_multi_worker_selects_pool(self, monkeypatch):
         monkeypatch.setenv("REPRO_SWEEP_WORKERS", "2")

@@ -2,11 +2,11 @@
 
 The parallel runner starts its process pool once and keeps it alive
 across batches; every task travels to a worker with its trace, so a new
-trace does not restart the pool.  Workers cache one facility per
-configuration and reset it between runs.  These tests pin the two things
-that matter: the pool actually persists (also across batches that bring
-unseen traces), and none of the reuse changes a single result relative
-to the serial reference path.
+trace does not restart the pool.  Workers run the same ``execute_task``
+as the serial path.  These tests pin the two things that matter: the
+pool actually persists (also across batches that bring unseen traces),
+and none of the reuse changes a single result relative to the serial
+reference path.
 """
 
 from __future__ import annotations
@@ -21,10 +21,15 @@ from repro.simulation.batch import (
     execute_task,
 )
 from repro.simulation.config import DataCenterConfig
-from repro.simulation.scheduler import ProcessPoolScheduler, _execute_in_worker
+from repro.simulation.scheduler import ProcessPoolScheduler
 from repro.workloads.traces import Trace
 
 SMALL = DataCenterConfig(n_pdus=2, servers_per_pdu=25)
+
+
+def pool_of(runner: SweepRunner):
+    """The runner's live process pool; ``None`` for poolless backends."""
+    return getattr(runner._scheduler, "pool", None)
 
 
 def burst_trace(seed: int = 0, n: int = 90) -> Trace:
@@ -46,10 +51,10 @@ class TestPoolPersistence:
         ]
         try:
             runner.run_tasks(tasks)
-            first_pool = runner._pool
+            first_pool = pool_of(runner)
             assert first_pool is not None
             runner.run_tasks(tasks)
-            assert runner._pool is first_pool
+            assert pool_of(runner) is first_pool
         finally:
             runner.close()
 
@@ -60,11 +65,11 @@ class TestPoolPersistence:
             runner.run_tasks(
                 [SweepTask(burst_trace(0), s, SMALL) for s in spec_pair]
             )
-            first_pool = runner._pool
+            first_pool = pool_of(runner)
             assert first_pool is not None
             unseen = [SweepTask(burst_trace(1), s, SMALL) for s in spec_pair]
             results = runner.run_tasks(unseen)
-            assert runner._pool is first_pool
+            assert pool_of(runner) is first_pool
             assert results == [execute_task(task) for task in unseen]
         finally:
             runner.close()
@@ -73,14 +78,14 @@ class TestPoolPersistence:
         serial = SweepRunner(max_workers=1)
         serial.close()
         serial.close()
-        assert serial._pool is None
+        assert pool_of(serial) is None
 
     def test_serial_path_never_builds_a_pool(self):
         runner = SweepRunner(max_workers=1)
         runner.run_tasks(
             [SweepTask(burst_trace(), StrategySpec.greedy(), SMALL)]
         )
-        assert runner._pool is None
+        assert pool_of(runner) is None
 
 
 class TestRunnerLifecycle:
@@ -91,7 +96,7 @@ class TestRunnerLifecycle:
         runner = SweepRunner(max_workers=1)
         runner.close()
         runner.close()
-        assert runner._pool is None
+        assert pool_of(runner) is None
 
     def test_submit_after_close_raises(self):
         from repro.errors import ConfigurationError
@@ -139,16 +144,25 @@ class TestRunnerLifecycle:
 
 class TestWorkerReuseCorrectness:
     def test_shipped_path_matches_reference_path(self):
-        """The worker entry point (cached facility) must be element-wise
-        identical to ``execute_task`` — including when the now-warm
-        facility is reused for different runs on different traces."""
-        for trace, spec in (
-            (burst_trace(0), StrategySpec.greedy()),
-            (burst_trace(0), StrategySpec.fixed(2.5)),
-            (burst_trace(1), StrategySpec.greedy()),
-        ):
-            task = SweepTask(trace, spec, SMALL)
-            assert _execute_in_worker(task) == execute_task(task)
+        """Tasks shipped to pool workers must be element-wise identical to
+        ``execute_task`` in process — including when the now-warm workers
+        run the batch again in a different order on different traces."""
+        tasks = [
+            SweepTask(trace, spec, SMALL)
+            for trace, spec in (
+                (burst_trace(0), StrategySpec.greedy()),
+                (burst_trace(0), StrategySpec.fixed(2.5)),
+                (burst_trace(1), StrategySpec.greedy()),
+            )
+        ]
+        reference = [execute_task(task) for task in tasks]
+        scheduler = ProcessPoolScheduler(max_workers=2)
+        try:
+            assert scheduler.run_tasks(tasks) == reference
+            assert scheduler.pool is not None
+            assert scheduler.run_tasks(tasks[::-1]) == reference[::-1]
+        finally:
+            scheduler.close()
 
     def test_parallel_pool_results_match_serial(self):
         traces = [burst_trace(seed) for seed in range(3)]

@@ -224,14 +224,11 @@ class TestFailureLatching:
             for i, task in enumerate(tasks)
         }
 
-        class _StubFacility:
-            def run_demand_matrix(self, demand, dt_s, bounds, **kwargs):
-                served = np.zeros_like(np.asarray(demand, dtype=np.float64))
-                return served, _StubKernel(served.shape[0], served.shape[1])
+        def stub_batch(config, demand, dt_s, bounds, **kwargs):
+            served = np.zeros_like(np.asarray(demand, dtype=np.float64))
+            return served, _StubKernel(served.shape[0], served.shape[1])
 
-        monkeypatch.setattr(
-            packing, "_batch_facility_for", lambda config: _StubFacility()
-        )
+        monkeypatch.setattr(packing, "run_vector_batch", stub_batch)
         monkeypatch.setattr(
             batch_module,
             "execute_task",

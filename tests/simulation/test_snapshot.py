@@ -52,7 +52,7 @@ def assert_steps_identical(a, b) -> None:
 class TestRoundTrip:
     def test_capture_is_deterministic(self):
         """Two captures with no step in between compare equal (NaN-aware:
-        ``tripped_at_s`` and ``last_needed_degree`` start as NaN)."""
+        ``tripped_at_s`` starts as NaN)."""
         dc = build_datacenter(SMALL)
         controller = dc.controller(FixedUpperBoundStrategy(3.0))
         first = FacilityState.capture(dc, controller)
